@@ -9,11 +9,15 @@
 #   ./scripts/check.sh --label unit   # only tests carrying that ctest label
 #                                     # (unit | e2e) — lets a CI matrix shard
 #                                     # the suite and gives devs a fast leg
+#   ./scripts/check.sh --tsan      # ThreadSanitizer (no ASan) in build-tsan/,
+#                                  # running only the tests that drive the
+#                                  # thread pool — the CI tsan leg
 set -eu
 
 cd "$(dirname "$0")/.."
 
 SANITIZE=0
+TSAN=0
 LABEL=""
 prev=""
 for arg in "$@"; do
@@ -24,23 +28,36 @@ for arg in "$@"; do
   fi
   case "$arg" in
     --sanitize) SANITIZE=1 ;;
+    --tsan) TSAN=1 ;;
     --label) prev="--label" ;;
     *)
-      echo "usage: $0 [--sanitize] [--label unit|e2e]" >&2
+      echo "usage: $0 [--sanitize | --tsan] [--label unit|e2e]" >&2
       exit 2
       ;;
   esac
 done
 if [ "$prev" = "--label" ]; then
-  echo "usage: $0 [--sanitize] [--label unit|e2e]" >&2
+  echo "usage: $0 [--sanitize | --tsan] [--label unit|e2e]" >&2
   exit 2
 fi
+if [ "$SANITIZE" -eq 1 ] && [ "$TSAN" -eq 1 ]; then
+  echo "$0: --sanitize and --tsan cannot share one build" >&2
+  exit 2
+fi
+
+TESTS=""
 
 if [ "$SANITIZE" -eq 1 ]; then
   # Separate default build dir so sanitized and plain artifacts never mix.
   BUILD_DIR="${BUILD_DIR:-build-sanitize}"
   EXTRA_CMAKE_ARGS="-DCMAKE_CXX_FLAGS=-fsanitize=address,undefined -fno-sanitize-recover=all -g"
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1}"
+elif [ "$TSAN" -eq 1 ]; then
+  BUILD_DIR="${BUILD_DIR:-build-tsan}"
+  EXTRA_CMAKE_ARGS="-DCMAKE_CXX_FLAGS=-fsanitize=thread -g"
+  export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
+  # The tests whose code paths run work on util::ThreadPool.
+  TESTS="^(util_test|engine_test|percentile_test|secretary_test|core_test|dispatch_test|serve_test)$"
 else
   BUILD_DIR="${BUILD_DIR:-build-check}"
   EXTRA_CMAKE_ARGS=""
@@ -54,8 +71,7 @@ else
 fi
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 cd "$BUILD_DIR"
-if [ -n "$LABEL" ]; then
-  ctest --output-on-failure -j "$(nproc)" -L "$LABEL"
-else
-  ctest --output-on-failure -j "$(nproc)"
-fi
+set -- --output-on-failure -j "$(nproc)"
+if [ -n "$LABEL" ]; then set -- "$@" -L "$LABEL"; fi
+if [ -n "$TESTS" ]; then set -- "$@" -R "$TESTS"; fi
+ctest "$@"

@@ -1,5 +1,6 @@
 #include "engine/sweep_runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -347,6 +348,7 @@ std::vector<ScenarioResult> SweepRunner::run(
   }
 
   util::ThreadPool pool(options_.num_threads);
+  const std::uint64_t phase_start = metrics_on ? obs::now_ns() : 0;
   pool.parallel_for(0, items.size(), [&](std::size_t idx) {
     const auto [s, t] = items[idx];
     const ScenarioSpec& spec = scenarios[s];
@@ -376,6 +378,19 @@ std::vector<ScenarioResult> SweepRunner::run(
       options_.progress(sc_done, scenarios.size(), done, trials_total);
     }
   });
+  if (metrics_on && !items.empty()) {
+    // Pool efficiency over every run since the last reset: summed trial
+    // wall time / (threads that drained trials x trial-phase wall time).
+    const std::size_t threads = std::min(pool.size() + 1, items.size());
+    auto& registry = obs::Registry::global();
+    auto& capacity = registry.counter("sweep.capacity_ns");
+    capacity.add(threads * (obs::now_ns() - phase_start));
+    if (capacity.value() > 0) {
+      registry.gauge("sweep.efficiency")
+          .set(static_cast<double>(trial_wall->sum()) /
+               static_cast<double>(capacity.value()));
+    }
+  }
 
   std::vector<ScenarioResult> results(scenarios.size());
   for (std::size_t s = 0; s < scenarios.size(); ++s) {

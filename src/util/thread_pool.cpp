@@ -85,20 +85,29 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& body) {
   if (begin >= end) return;
-  const std::size_t n = end - begin;
-  const std::size_t num_workers = workers_.size() + 1;  // caller participates
-  const std::size_t chunk = (n + num_workers - 1) / num_workers;
-
-  // The caller takes the first chunk; workers take the rest.
-  for (std::size_t chunk_begin = begin + chunk; chunk_begin < end;
-       chunk_begin += chunk) {
-    const std::size_t chunk_end = std::min(chunk_begin + chunk, end);
-    submit([&body, chunk_begin, chunk_end] {
-      for (std::size_t i = chunk_begin; i < chunk_end; ++i) body(i);
-    });
-  }
-  const std::size_t first_end = std::min(begin + chunk, end);
-  for (std::size_t i = begin; i < first_end; ++i) body(i);
+  // The caller drains too, so end - begin - 1 helpers already give every
+  // index its own thread.
+  const std::size_t helpers = std::min(workers_.size(), end - begin - 1);
+  // Guided self-scheduling: each participant claims the next
+  // ceil(remaining / (2 x participants)) unclaimed indices from one shared
+  // counter. Claims shrink as the range drains and the last
+  // 2 x participants indices go out one at a time, so a run of expensive
+  // indices at the end spreads across all threads, while a long range of
+  // cheap indices costs O(participants x log n) claims, not one per index.
+  const std::size_t divisor = 2 * (helpers + 1);
+  std::atomic<std::size_t> next{begin};
+  const auto drain = [&next, end, divisor, &body] {
+    std::size_t first = next.load();
+    while (first < end) {
+      const std::size_t last = first + (end - first + divisor - 1) / divisor;
+      if (next.compare_exchange_weak(first, last)) {
+        for (std::size_t i = first; i < last; ++i) body(i);
+        first = next.load();
+      }
+    }
+  };
+  for (std::size_t h = 0; h < helpers; ++h) submit(drain);
+  drain();
   wait_idle();
 }
 

@@ -3,8 +3,11 @@
 // The library uses data parallelism in two hot spots: evaluating many greedy
 // candidates against a submodular oracle (src/core) and running Monte-Carlo
 // trials of online algorithms (src/secretary). Both are embarrassingly
-// parallel; the pool provides static chunking with deterministic per-index
-// work so that results do not depend on the number of workers.
+// parallel. parallel_for self-schedules: threads claim shrinking runs of
+// indices from a shared counter, down to one index at a time at the end of
+// the range, so uneven per-index costs balance across workers. Each index
+// runs exactly once and callers write only that index's own slot, so
+// results do not depend on the number of workers or the schedule.
 #pragma once
 
 #include <condition_variable>
@@ -38,10 +41,13 @@ class ThreadPool {
   /// Blocks until every submitted task has finished.
   void wait_idle();
 
-  /// Runs body(i) for i in [begin, end), splitting the range into contiguous
-  /// chunks across the workers, and blocks until all iterations finish.
-  /// The calling thread participates, so this is safe to use with a pool of
-  /// size 1 and never deadlocks on nested use from the caller's side.
+  /// Runs body(i) once for each i in [begin, end) and blocks until all
+  /// iterations finish. The caller and up to size() workers (never more
+  /// than end - begin threads in all) repeatedly claim the next
+  /// ceil(remaining / (2 x threads)) unclaimed indices until the range is
+  /// exhausted; which thread runs which index is unspecified. The calling
+  /// thread participates, so this is safe to use with a pool of size 1 and
+  /// never deadlocks on nested use from the caller's side.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body);
 

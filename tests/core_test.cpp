@@ -116,6 +116,8 @@ TEST(BudgetedMax, LazyMatchesPlain) {
 }
 
 TEST(BudgetedMax, ParallelMatchesSerial) {
+  // The plain greedy calls parallel_for once per round over cheap gain
+  // evaluations: the case where per-index scheduling costs the most.
   util::Rng rng(83);
   const auto f = CoverageFunction::random(20, 40, 6, 2.0, rng);
   std::vector<CandidateSet> candidates;
@@ -125,13 +127,17 @@ TEST(BudgetedMax, ParallelMatchesSerial) {
   BudgetedMaximizationOptions serial;
   serial.lazy = false;
   serial.num_threads = 1;
-  BudgetedMaximizationOptions parallel = serial;
-  parallel.num_threads = 4;
   const double x = f.total_weight() * 0.7;
   const auto a = maximize_with_budget(f, candidates, x, serial);
-  const auto b = maximize_with_budget(f, candidates, x, parallel);
-  EXPECT_EQ(a.picked, b.picked);
-  EXPECT_DOUBLE_EQ(a.cost, b.cost);
+  for (const std::size_t threads : {2u, 3u, 4u, 7u}) {
+    BudgetedMaximizationOptions parallel = serial;
+    parallel.num_threads = threads;
+    const auto b = maximize_with_budget(f, candidates, x, parallel);
+    EXPECT_EQ(a.picked, b.picked) << threads;
+    EXPECT_EQ(a.cost, b.cost) << threads;
+    EXPECT_EQ(a.utility_curve, b.utility_curve) << threads;
+    EXPECT_EQ(a.gain_evaluations, b.gain_evaluations) << threads;
+  }
 }
 
 TEST(BudgetedMax, BicriteriaGuaranteeHolds) {

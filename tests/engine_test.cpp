@@ -11,11 +11,13 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "engine/reference_cache.hpp"
 #include "engine/registry.hpp"
 #include "engine/scenario.hpp"
 #include "engine/sweep_runner.hpp"
+#include "obs/metrics.hpp"
 
 namespace ps::engine {
 namespace {
@@ -452,6 +454,82 @@ TEST(NamedMetrics, PerMetricAggregationBitIdenticalForPoolSizes1And4) {
       expect_bit_identical_acc(acc, parallel[i].metrics.at(name));
     }
   }
+}
+
+/// A solver whose per-trial cost grows with `work`, so a grid can put its
+/// heaviest scenario last the way the real presets do.
+void register_uneven_solver(SolverRegistry& registry) {
+  registry.add_fn("uneven", [](const ParamMap& params, util::Rng& rng,
+                               util::Rng& algo_rng) {
+    const int draws = static_cast<int>(params.get("work", 1.0)) * 2000;
+    double total = 0.0;
+    for (int i = 0; i < draws; ++i) total += rng.uniform_double();
+    TrialResult out;
+    out.objective = total / draws;
+    out.reference = algo_rng.uniform_double() + 0.5;
+    out.oracle_calls = static_cast<double>(draws);
+    out.set_metric("draws", static_cast<double>(draws));
+    return out;
+  });
+}
+
+std::vector<ScenarioResult> run_uneven_sweep(std::size_t num_threads,
+                                             int trials) {
+  SolverRegistry registry;
+  register_uneven_solver(registry);
+  SweepPlan plan;
+  plan.solvers = {"uneven"};
+  plan.axes = {{"work", {1.0, 3.0, 200.0}}};
+  plan.trials = trials;
+  plan.seed = 11;
+  SweepOptions options;
+  options.num_threads = num_threads;
+  options.keep_samples = true;
+  const SweepRunner runner(options);
+  return runner.run(registry, plan);
+}
+
+TEST(SweepRunner, UnevenGridBitIdenticalAcrossPoolSizes) {
+  // Three scenarios, heaviest last. 5 trials each: a count no parallel
+  // pool size below divides. 1 trial each: 3 trials, fewer than the
+  // threads of the 3-, 4- and 7-worker pools.
+  for (const int trials : {5, 1}) {
+    const auto serial = run_uneven_sweep(1, trials);
+    ASSERT_EQ(serial.size(), 3u);
+    for (const std::size_t threads : {2u, 3u, 4u, 7u}) {
+      SCOPED_TRACE("trials=" + std::to_string(trials) +
+                   " threads=" + std::to_string(threads));
+      const auto parallel = run_uneven_sweep(threads, trials);
+      ASSERT_EQ(serial.size(), parallel.size());
+      for (std::size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(serial[i].trials_run, parallel[i].trials_run);
+        expect_bit_identical(serial[i].objective, parallel[i].objective);
+        expect_bit_identical(serial[i].ratio, parallel[i].ratio);
+        expect_bit_identical(serial[i].oracle_calls,
+                             parallel[i].oracle_calls);
+        EXPECT_EQ(serial[i].objective.sorted_samples(),
+                  parallel[i].objective.sorted_samples());
+        ASSERT_EQ(parallel[i].metrics.count("draws"), 1u);
+        expect_bit_identical(serial[i].metrics.at("draws"),
+                             parallel[i].metrics.at("draws"));
+      }
+    }
+  }
+}
+
+TEST(SweepRunner, EfficiencyGaugeIsTrialTimeOverThreadCapacity) {
+  auto& registry = obs::Registry::global();
+  registry.reset();
+  obs::set_enabled(true);
+  run_uneven_sweep(4, 5);
+  obs::set_enabled(false);
+  // Each drainer's trials run back to back inside the trial phase, so the
+  // summed trial time can never exceed threads x phase wall time.
+  EXPECT_GT(registry.counter("sweep.capacity_ns").value(), 0u);
+  const double efficiency = registry.gauge("sweep.efficiency").value();
+  EXPECT_GT(efficiency, 0.0);
+  EXPECT_LE(efficiency, 1.0);
+  registry.reset();
 }
 
 // ---------------------------------------------------------------------------

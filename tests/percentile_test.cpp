@@ -469,6 +469,9 @@ TEST(TailsGolden, BenchGoldenCsvsByteIdenticalWithoutTails) {
     ASSERT_TRUE(status.ok()) << status.message();
     const std::string golden = std::string(POWERSCHED_SOURCE_DIR) +
                                "/bench/golden/" + name + ".csv";
+    // read_file() reads an absent file as "", which would pass for drift.
+    ASSERT_TRUE(std::ifstream(golden, std::ios::binary).good())
+        << "missing golden file " << golden;
     EXPECT_EQ(read_file(csv), read_file(golden))
         << "tails-off CSV drifted from bench/golden/" << name << ".csv";
     std::remove(csv.c_str());

@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
 #include <set>
 #include <utility>
 #include <vector>
@@ -217,6 +220,50 @@ TEST(ThreadPool, SingleThreadPoolWorks) {
   std::atomic<int> counter{0};
   pool.parallel_for(0, 10, [&](std::size_t) { counter.fetch_add(1); });
   EXPECT_EQ(counter.load(), 10);
+}
+
+TEST(ThreadPool, ParallelForRunsEveryIndexExactlyOnce) {
+  struct Case {
+    std::size_t workers, begin, end;
+  };
+  // Offset ranges, a single index on a wide pool, fewer indices than
+  // workers, and a range long enough for many shrinking multi-index claims.
+  for (const Case c : {Case{3, 7, 40}, Case{4, 0, 1}, Case{4, 10, 11},
+                       Case{4, 2, 5}, Case{7, 0, 3}, Case{4, 3, 5000}}) {
+    ThreadPool pool(c.workers);
+    std::vector<std::atomic<int>> hits(c.end + 2);
+    pool.parallel_for(c.begin, c.end,
+                      [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (std::size_t i = 0; i < hits.size(); ++i) {
+      const int expected = i >= c.begin && i < c.end ? 1 : 0;
+      EXPECT_EQ(hits[i].load(), expected)
+          << "index " << i << " of [" << c.begin << ", " << c.end << ") on "
+          << c.workers << " workers";
+    }
+  }
+}
+
+TEST(ThreadPool, ParallelForDoesNotQueueIndicesBehindASlowOne) {
+  // Index 0 blocks until index 1 has run. Contiguous chunking would put
+  // both on the same thread, so 1 could only start after 0 gave up. With
+  // self-scheduling the last 2 x threads indices (here all four) are
+  // claimed one at a time, so another thread claims 1 while 0 waits.
+  ThreadPool pool(2);
+  std::mutex mutex;
+  std::condition_variable ran;
+  bool index1_done = false;
+  bool index0_saw_index1 = false;
+  pool.parallel_for(0, 4, [&](std::size_t i) {
+    std::unique_lock lock(mutex);
+    if (i == 0) {
+      index0_saw_index1 = ran.wait_for(lock, std::chrono::seconds(5),
+                                       [&] { return index1_done; });
+    } else if (i == 1) {
+      index1_done = true;
+      ran.notify_all();
+    }
+  });
+  EXPECT_TRUE(index0_saw_index1);
 }
 
 TEST(ParallelForN, SerialCutoffStillRuns) {
