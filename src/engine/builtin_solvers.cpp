@@ -51,7 +51,6 @@
 // randomized power-down threshold, secretary coin flips) come from the
 // algorithm RNG.
 #include <cmath>
-#include <cstdio>
 #include <memory>
 #include <vector>
 
@@ -59,7 +58,6 @@
 #include "engine/registry.hpp"
 #include "engine/reference_cache.hpp"
 #include "scheduling/baselines.hpp"
-#include "scheduling/instance_io.hpp"
 #include "scheduling/budget_scheduler.hpp"
 #include "scheduling/cost_model.hpp"
 #include "scheduling/generators.hpp"
@@ -277,28 +275,6 @@ double resolve_alpha(const ParamMap& params, util::Rng& instance_rng) {
   return alpha > 0.0 ? alpha : instance_rng.uniform_double(0.5, 3.0);
 }
 
-/// Brute-force optimum for vs_opt references, memoized in the engine's
-/// reference cache. Every solver in a sweep draws the identical instance
-/// for a given (parameters, trial), so without the cache an N-solver
-/// comparison would recompute the exponential optimum N times. Keyed by
-/// serialized instance + alpha; growth is bounded in practice because brute
-/// force is only usable on tiny instances. Returns -1 when the instance has
-/// no full schedule.
-double brute_force_reference(const scheduling::SchedulingInstance& instance,
-                             double alpha) {
-  char alpha_text[40];
-  std::snprintf(alpha_text, sizeof(alpha_text), "|%.17g", alpha);
-  std::string key = "power.opt|";
-  key += scheduling::instance_to_text(instance);
-  key += alpha_text;
-  return cached_reference(key, [&] {
-    const scheduling::RestartCostModel model(alpha);
-    const auto opt =
-        scheduling::brute_force_min_cost_all_jobs(instance, model);
-    return opt ? opt->energy_cost : -1.0;
-  });
-}
-
 /// Shared trial shape of the three power schedulers: generate a feasible
 /// instance, run `solve`, optionally price the brute-force optimum in as
 /// the reference.
@@ -313,7 +289,7 @@ TrialResult power_trial(const ParamMap& params, util::Rng& instance_rng,
   TrialResult out = solve(instance, model);
   out.cost = out.objective;
   if (params.get_int("vs_opt", 0) != 0) {
-    const double opt_cost = brute_force_reference(instance, alpha);
+    const double opt_cost = power_opt_reference(instance, alpha);
     if (opt_cost >= 0.0) {
       out.reference = opt_cost;
       // Theorem 2.2.1's guarantee, alongside the measured ratio.

@@ -1,9 +1,13 @@
 #include "engine/reference_cache.hpp"
 
+#include <cstdio>
 #include <mutex>
 #include <unordered_map>
 
 #include "obs/metrics.hpp"
+#include "scheduling/baselines.hpp"
+#include "scheduling/cost_model.hpp"
+#include "scheduling/instance_io.hpp"
 
 namespace ps::engine {
 namespace {
@@ -43,6 +47,20 @@ double cached_reference(const std::string& key,
   const std::lock_guard<std::mutex> lock(c.mutex);
   c.values.emplace(key, value);
   return value;
+}
+
+double power_opt_reference(const scheduling::SchedulingInstance& instance,
+                           double alpha) {
+  char alpha_text[40];
+  std::snprintf(alpha_text, sizeof(alpha_text), "|%.17g", alpha);
+  std::string key = "power.opt|";
+  key += scheduling::instance_to_text(instance);
+  key += alpha_text;
+  return cached_reference(key, [&] {
+    const scheduling::RestartCostModel model(alpha);
+    const auto opt = scheduling::brute_force_min_cost_all_jobs(instance, model);
+    return opt ? opt->energy_cost : -1.0;
+  });
 }
 
 ReferenceCacheStats reference_cache_stats() {

@@ -11,6 +11,10 @@
 #include <functional>
 #include <string>
 
+namespace ps::scheduling {
+class SchedulingInstance;
+}  // namespace ps::scheduling
+
 namespace ps::engine {
 
 /// Returns the cached value under `key`, computing it with `compute` (and
@@ -25,6 +29,14 @@ namespace ps::engine {
 /// parameters and trial index, so the first word identifies it).
 double cached_reference(const std::string& key,
                         const std::function<double()>& compute);
+
+/// Exact all-jobs optimum (brute_force_min_cost_all_jobs under
+/// RestartCostModel(alpha)) memoized under "power.opt|" + serialized
+/// instance + "|" + %.17g alpha — the one key a sweep's vs_opt trials and a
+/// served vs_opt request share, so either one warms the other. Returns -1
+/// when the instance has no full schedule.
+double power_opt_reference(const scheduling::SchedulingInstance& instance,
+                           double alpha);
 
 struct ReferenceCacheStats {
   std::size_t hits = 0;

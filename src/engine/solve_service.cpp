@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <memory>
 #include <optional>
-#include <set>
 #include <sstream>
 #include <utility>
 
@@ -27,11 +25,6 @@ namespace {
 /// holds a connection open for.
 constexpr int kMaxTrials = 1'000'000;
 
-/// Admissible-slot ceiling of brute_force_min_cost_all_jobs; vs_opt requests
-/// above it are rejected up front instead of letting an exponential
-/// enumeration eat a worker thread.
-constexpr int kMaxBruteForceSlots = 22;
-
 const char* const kInstanceSolverNames[] = {
     "budget.value", "power.always_on", "power.greedy", "power.per_job"};
 
@@ -49,34 +42,6 @@ std::string instance_solvers_joined() {
     out += key;
   }
   return out;
-}
-
-/// Number of distinct slots admissible for at least one job — the size of
-/// the set brute_force_min_cost_all_jobs enumerates subsets of.
-int useful_slot_count(const scheduling::SchedulingInstance& instance) {
-  std::set<int> slots;
-  for (const auto& job : instance.jobs()) {
-    for (const auto& ref : job.allowed) slots.insert(instance.slot_index(ref));
-  }
-  return static_cast<int>(slots.size());
-}
-
-/// Brute-force optimum memoized under the SAME key builtin_solvers.cpp uses
-/// ("power.opt|" + serialized instance + "|alpha"), so a vs_opt request for
-/// an instance a sweep already priced is a cache hit and vice versa.
-/// Returns -1 when no full schedule exists.
-double instance_opt_reference(const scheduling::SchedulingInstance& instance,
-                              double alpha) {
-  char alpha_text[40];
-  std::snprintf(alpha_text, sizeof(alpha_text), "|%.17g", alpha);
-  std::string key = "power.opt|";
-  key += scheduling::instance_to_text(instance);
-  key += alpha_text;
-  return cached_reference(key, [&] {
-    const scheduling::RestartCostModel model(alpha);
-    const auto opt = scheduling::brute_force_min_cost_all_jobs(instance, model);
-    return opt ? opt->energy_cost : -1.0;
-  });
 }
 
 void fill_from_scenario(const ScenarioResult& result, SolveResponse& response) {
@@ -295,11 +260,13 @@ Status SolveService::solve_instance(const SolveRequest& request,
 
   const bool vs_opt = request.params.get_int("vs_opt", 0) != 0;
   if (vs_opt) {
-    const int slots = useful_slot_count(*instance);
-    if (slots > kMaxBruteForceSlots) {
+    // Rejected up front: the brute force itself aborts above the ceiling.
+    const int slots =
+        static_cast<int>(scheduling::useful_slots(*instance).size());
+    if (slots > scheduling::kMaxBruteForceSlots) {
       return Status::usage(
           "solve: vs_opt brute force needs <= " +
-          std::to_string(kMaxBruteForceSlots) +
+          std::to_string(scheduling::kMaxBruteForceSlots) +
           " distinct admissible slots; instance has " + std::to_string(slots));
     }
   }
@@ -330,7 +297,7 @@ Status SolveService::solve_instance(const SolveRequest& request,
   response.metrics.emplace_back(
       "jobs_scheduled", static_cast<double>(schedule->num_scheduled()));
   if (vs_opt) {
-    const double opt_cost = instance_opt_reference(*instance, alpha);
+    const double opt_cost = power_opt_reference(*instance, alpha);
     // The solver found a full schedule, so one exists and brute force finds
     // one too; opt_cost < 0 is unreachable here, but stay defensive.
     if (opt_cost > 0.0) {

@@ -1,8 +1,11 @@
 #include "scheduling/baselines.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "matching/hopcroft_karp.hpp"
 #include "matching/matching_oracle.hpp"
@@ -69,70 +72,140 @@ std::optional<Schedule> schedule_per_job_naive(
   return schedule;
 }
 
-namespace {
-
-/// Shared enumeration engine for the two exact solvers. `feasible` judges a
-/// slot subset; the engine minimizes the exact interval-cover cost over all
-/// feasible subsets of the useful slots.
-template <typename FeasibleFn, typename AssignFn>
-std::optional<Schedule> brute_force_impl(const SchedulingInstance& instance,
-                                         const CostModel& cost_model,
-                                         FeasibleFn&& feasible,
-                                         AssignFn&& assign) {
-  // Only slots some job can use ever need to be awake.
+std::vector<int> useful_slots(const SchedulingInstance& instance) {
   std::vector<char> useful(static_cast<std::size_t>(instance.num_slots()), 0);
   for (const auto& job : instance.jobs()) {
     for (const auto& ref : job.allowed) {
       useful[static_cast<std::size_t>(instance.slot_index(ref))] = 1;
     }
   }
-  std::vector<int> useful_slots;
+  std::vector<int> slots;
   for (int s = 0; s < instance.num_slots(); ++s) {
-    if (useful[static_cast<std::size_t>(s)]) useful_slots.push_back(s);
+    if (useful[static_cast<std::size_t>(s)]) slots.push_back(s);
   }
-  const int u = static_cast<int>(useful_slots.size());
-  assert(u <= 22 && "brute force limited to 22 useful slots");
+  return slots;
+}
 
-  double best_cost = kInfiniteCost;
-  std::uint32_t best_mask = 0;
-  const std::uint32_t limit = 1u << u;
-  for (std::uint32_t mask = 0; mask < limit; ++mask) {
-    // Cost first (cheap), then feasibility, keeping the running minimum.
-    std::vector<std::vector<int>> required(
-        static_cast<std::size_t>(instance.num_processors()));
-    for (int b = 0; b < u; ++b) {
-      if (!((mask >> b) & 1u)) continue;
-      const SlotRef ref =
-          instance.slot_of(useful_slots[static_cast<std::size_t>(b)]);
-      required[static_cast<std::size_t>(ref.processor)].push_back(ref.time);
+SlotSubsetCosts::SlotSubsetCosts(const SchedulingInstance& instance,
+                                 const CostModel& cost_model)
+    : slots_(useful_slots(instance)) {
+  const int u = static_cast<int>(slots_.size());
+  if (u > kMaxBruteForceSlots) {
+    std::fprintf(stderr,
+                 "brute force: instance has %d useful slots; the limit is "
+                 "%d\n",
+                 u, kMaxBruteForceSlots);
+    std::abort();
+  }
+  runs_.resize(static_cast<std::size_t>(instance.num_processors()));
+  std::size_t bit = 0;
+  std::vector<int> times;
+  for (int p = 0; p < instance.num_processors(); ++p) {
+    Run& run = runs_[static_cast<std::size_t>(p)];
+    run.shift = static_cast<int>(bit);
+    std::vector<int> run_times;
+    for (; bit < slots_.size(); ++bit) {
+      const SlotRef ref = instance.slot_of(slots_[bit]);
+      if (ref.processor != p) break;
+      run_times.push_back(ref.time);
     }
-    double cost = 0.0;
-    for (int p = 0; p < instance.num_processors() && cost < best_cost; ++p) {
-      double c = 0.0;
-      min_cost_cover(p, required[static_cast<std::size_t>(p)],
-                     instance.horizon(), cost_model, &c);
-      cost += c;
+    run.width_mask = (1u << run_times.size()) - 1u;
+    run.cost.resize(std::size_t{1} << run_times.size());
+    for (std::uint32_t sub = 0; sub <= run.width_mask; ++sub) {
+      times.clear();
+      for (std::size_t b = 0; b < run_times.size(); ++b) {
+        if ((sub >> b) & 1u) times.push_back(run_times[b]);
+      }
+      min_cost_cover(p, times, instance.horizon(), cost_model,
+                     &run.cost[sub]);
     }
-    if (cost >= best_cost || !std::isfinite(cost)) continue;
+  }
+}
 
-    submodular::ItemSet slots(instance.num_slots());
-    for (int b = 0; b < u; ++b) {
-      if ((mask >> b) & 1u) {
-        slots.insert(useful_slots[static_cast<std::size_t>(b)]);
+void SlotSubsetCosts::to_item_set(std::uint32_t mask,
+                                  submodular::ItemSet* out) const {
+  out->clear();
+  for (std::size_t b = 0; b < slots_.size(); ++b) {
+    if ((mask >> b) & 1u) out->insert(slots_[b]);
+  }
+}
+
+namespace {
+
+/// Whether the slots of a mask can host every job: Kuhn's augmenting paths
+/// over per-job adjacency bit masks, allocation-free per query. Answers
+/// exactly hopcroft_karp(graph, slots).size == num_jobs.
+class AllJobsMatcher {
+ public:
+  AllJobsMatcher(const SchedulingInstance& instance,
+                 const std::vector<int>& slots)
+      : adjacency_(static_cast<std::size_t>(instance.num_jobs()), 0) {
+    for (int j = 0; j < instance.num_jobs(); ++j) {
+      for (const auto& ref : instance.job(j).allowed) {
+        const auto it = std::lower_bound(slots.begin(), slots.end(),
+                                         instance.slot_index(ref));
+        adjacency_[static_cast<std::size_t>(j)] |=
+            1u << (it - slots.begin());
       }
     }
-    if (!feasible(slots)) continue;
+  }
+
+  bool feasible(std::uint32_t mask) {
+    if (std::popcount(mask) < static_cast<int>(adjacency_.size())) {
+      return false;
+    }
+    for (std::uint32_t adj : adjacency_) {
+      if ((adj & mask) == 0) return false;
+    }
+    owner_.fill(-1);
+    for (std::size_t j = 0; j < adjacency_.size(); ++j) {
+      std::uint32_t visited = 0;
+      if (!augment(j, mask, &visited)) return false;
+    }
+    return true;
+  }
+
+ private:
+  bool augment(std::size_t job, std::uint32_t mask, std::uint32_t* visited) {
+    for (std::uint32_t open = adjacency_[job] & mask & ~*visited; open != 0;
+         open = adjacency_[job] & mask & ~*visited) {
+      const int b = std::countr_zero(open);
+      *visited |= 1u << b;
+      int& owner = owner_[static_cast<std::size_t>(b)];
+      if (owner < 0 ||
+          augment(static_cast<std::size_t>(owner), mask, visited)) {
+        owner = static_cast<int>(job);
+        return true;
+      }
+    }
+    return false;
+  }
+
+  std::vector<std::uint32_t> adjacency_;
+  std::array<int, kMaxBruteForceSlots> owner_{};
+};
+
+/// Shared search of the two minimum-cost optima: the cheapest mask (first
+/// in numeric order on ties) that `feasible` accepts, turned into a
+/// schedule through `assign` and the exact per-processor cover.
+template <typename FeasibleFn, typename AssignFn>
+std::optional<Schedule> brute_force_impl(const SchedulingInstance& instance,
+                                         const SlotSubsetCosts& subsets,
+                                         const CostModel& cost_model,
+                                         FeasibleFn&& feasible,
+                                         AssignFn&& assign) {
+  double best_cost = kInfiniteCost;
+  std::uint32_t best_mask = 0;
+  subsets.for_each_mask(best_cost, [&](std::uint32_t mask, double cost) {
+    if (cost >= best_cost || !std::isfinite(cost)) return;
+    if (!feasible(mask)) return;
     best_cost = cost;
     best_mask = mask;
-  }
+  });
   if (!std::isfinite(best_cost)) return std::nullopt;
 
   submodular::ItemSet slots(instance.num_slots());
-  for (int b = 0; b < u; ++b) {
-    if ((best_mask >> b) & 1u) {
-      slots.insert(useful_slots[static_cast<std::size_t>(b)]);
-    }
-  }
+  subsets.to_item_set(best_mask, &slots);
   Schedule schedule;
   schedule.assignment = assign(slots);
   std::vector<std::vector<int>> required(
@@ -158,13 +231,13 @@ std::optional<Schedule> brute_force_impl(const SchedulingInstance& instance,
 
 std::optional<Schedule> brute_force_min_cost_all_jobs(
     const SchedulingInstance& instance, const CostModel& cost_model) {
+  const SlotSubsetCosts subsets(instance, cost_model);
+  AllJobsMatcher matcher(instance, subsets.slots());
   const auto graph = instance.build_slot_job_graph();
   const int n = instance.num_jobs();
   return brute_force_impl(
-      instance, cost_model,
-      [&](const submodular::ItemSet& slots) {
-        return matching::hopcroft_karp(graph, slots).size == n;
-      },
+      instance, subsets, cost_model,
+      [&](std::uint32_t mask) { return matcher.feasible(mask); },
       [&](const submodular::ItemSet& slots) {
         const auto matching = matching::hopcroft_karp(graph, slots);
         std::vector<int> assignment(static_cast<std::size_t>(n));
@@ -179,13 +252,16 @@ std::optional<Schedule> brute_force_min_cost_all_jobs(
 std::optional<Schedule> brute_force_min_cost_value(
     const SchedulingInstance& instance, const CostModel& cost_model,
     double value_target_z) {
+  const SlotSubsetCosts subsets(instance, cost_model);
   const auto graph = instance.build_slot_job_graph();
   const auto values = instance.job_values();
   matching::WeightedMatchingUtilityFunction utility(graph, values);
+  submodular::ItemSet candidate(instance.num_slots());
   return brute_force_impl(
-      instance, cost_model,
-      [&](const submodular::ItemSet& slots) {
-        return utility.value(slots) >= value_target_z - 1e-9;
+      instance, subsets, cost_model,
+      [&](std::uint32_t mask) {
+        subsets.to_item_set(mask, &candidate);
+        return utility.value(candidate) >= value_target_z - 1e-9;
       },
       [&](const submodular::ItemSet& slots) {
         matching::WeightedMatchingOracle oracle(graph, values);

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "matching/matching_oracle.hpp"
+#include "scheduling/baselines.hpp"
 
 namespace ps::scheduling {
 namespace {
@@ -121,49 +122,18 @@ BudgetScheduleResult schedule_max_value_with_energy_budget(
 double brute_force_max_value_with_energy_budget(
     const SchedulingInstance& instance, const CostModel& cost_model,
     double energy_budget) {
-  std::vector<char> useful(static_cast<std::size_t>(instance.num_slots()), 0);
-  for (const auto& job : instance.jobs()) {
-    for (const auto& ref : job.allowed) {
-      useful[static_cast<std::size_t>(instance.slot_index(ref))] = 1;
-    }
-  }
-  std::vector<int> useful_slots;
-  for (int s = 0; s < instance.num_slots(); ++s) {
-    if (useful[static_cast<std::size_t>(s)]) useful_slots.push_back(s);
-  }
-  const int u = static_cast<int>(useful_slots.size());
-  assert(u <= 22 && "brute force limited to 22 useful slots");
-
+  const SlotSubsetCosts subsets(instance, cost_model);
   const auto graph = instance.build_slot_job_graph();
   const auto values = instance.job_values();
   matching::WeightedMatchingUtilityFunction utility(graph, values);
 
   double best = 0.0;
-  for (std::uint32_t mask = 0; mask < (1u << u); ++mask) {
-    std::vector<std::vector<int>> required(
-        static_cast<std::size_t>(instance.num_processors()));
-    for (int b = 0; b < u; ++b) {
-      if (!((mask >> b) & 1u)) continue;
-      const SlotRef ref =
-          instance.slot_of(useful_slots[static_cast<std::size_t>(b)]);
-      required[static_cast<std::size_t>(ref.processor)].push_back(ref.time);
-    }
-    double cost = 0.0;
-    for (int p = 0; p < instance.num_processors(); ++p) {
-      double c = 0.0;
-      min_cost_cover(p, required[static_cast<std::size_t>(p)],
-                     instance.horizon(), cost_model, &c);
-      cost += c;
-    }
-    if (cost > energy_budget + 1e-9 || !std::isfinite(cost)) continue;
-    submodular::ItemSet slots(instance.num_slots());
-    for (int b = 0; b < u; ++b) {
-      if ((mask >> b) & 1u) {
-        slots.insert(useful_slots[static_cast<std::size_t>(b)]);
-      }
-    }
+  submodular::ItemSet slots(instance.num_slots());
+  subsets.for_each_mask(kInfiniteCost, [&](std::uint32_t mask, double cost) {
+    if (cost > energy_budget + 1e-9 || !std::isfinite(cost)) return;
+    subsets.to_item_set(mask, &slots);
     best = std::max(best, utility.value(slots));
-  }
+  });
   return best;
 }
 

@@ -457,7 +457,7 @@ TEST(TailsGolden, BenchGoldenCsvsByteIdenticalWithoutTails) {
   // bench/golden/README.md: each file is `powersched sweep --preset <name>
   // --trials 2 --threads 2 --csv` — rerun exactly that through the Session
   // (tails off) and require the committed bytes.
-  for (const char* name : {"e3", "e8"}) {
+  for (const char* name : {"e3", "e8", "e1", "e5"}) {
     RunConfig config;
     config.preset = name;
     config.trials = 2;
