@@ -1,108 +1,46 @@
 #!/usr/bin/env sh
-# Fails when a tracked test, doc or CI file names a bench/golden/* or
-# bench/baselines/* file that git does not track — a fixture that exists
-# only in one developer's tree (ignored by a broad .gitignore rule, or
-# never added) passes locally and is missing on every clean checkout.
+# Fails when a bench fixture exists only in this tree, so it passes locally
+# and is missing on every clean checkout:
+#   * a file under bench/golden/ or bench/baselines/ that git does not
+#     track (never added, or hidden by an ignore rule);
+#   * a literal bench/golden/* or bench/baselines/* path, named by a
+#     tracked test, doc or CI file, that git does not track.
 #
-#   ./scripts/check_tracked_refs.sh    # exit 0 when every named file is
-#                                      # tracked, 1 naming each one not
+#   ./scripts/check_tracked_refs.sh    # exit 0, or 1 naming each file
 #
-# References are resolved three ways:
-#   * literal paths, with brace lists expanded: bench/golden/{e1,e5}.csv;
-#   * shell loop templates: `for preset in e3 e8; do` ... bench/golden/
-#     $preset.csv, expanded over the nearest preceding loop on that name;
-#   * C++ range-for templates: for (const char* name : {"e3", "e8"}) ...
-#     "/bench/golden/" + name + ".csv", expanded the same way.
-# Globs (bench/golden/*.csv) and command substitutions ($(...)) are not
-# file names and are skipped; a template whose variable no loop binds
-# fails, so a reference can never silently escape the check.
+# Templated names ($preset.csv, "/bench/golden/" + name, BENCH_*.json,
+# {e1,e5}.csv) are skipped: the test or CI step that reads such a file
+# already fails by name on a clean checkout that lacks it.
 set -eu
 
 cd "$(dirname "$0")/.."
 
+FIXTURES="bench/golden bench/baselines"
 SCANNED="tests docs README.md bench/golden/README.md .github/workflows/ci.yml"
 
-# shellcheck disable=SC2086  # word splitting of the path list is intended
-refs=$(git ls-files -- $SCANNED | while IFS= read -r file; do
-  awk '
-    function emit(p,   pre, body, post, n, i, alts) {
-      if (match(p, /\{[^{}]*\}/)) {
-        pre = substr(p, 1, RSTART - 1)
-        body = substr(p, RSTART + 1, RLENGTH - 2)
-        post = substr(p, RSTART + RLENGTH)
-        n = split(body, alts, ",")
-        for (i = 1; i <= n; i++) emit(pre alts[i] post)
-      } else {
-        print p
-      }
-    }
-    FNR == 1 { split("", words) }
-    {
-      line = $0
-      if (match(line, /for [A-Za-z_][A-Za-z0-9_]* in [^;]*; do/)) {
-        s = substr(line, RSTART + 4, RLENGTH - 8)
-        v = s; sub(/ in .*/, "", v)
-        w = s; sub(/^[A-Za-z0-9_]* in /, "", w)
-        words[v] = w
-      }
-      if (match(line, /for \(const char\* [A-Za-z_][A-Za-z0-9_]* : \{[^}]*\}\)/)) {
-        s = substr(line, RSTART, RLENGTH)
-        v = s; sub(/^for \(const char\* /, "", v); sub(/ :.*/, "", v)
-        w = s; sub(/^[^{]*\{/, "", w); sub(/\}\)$/, "", w); gsub(/[",]/, " ", w)
-        words[v] = w
-      }
-
-      rest = line
-      while (match(rest, /bench\/(golden|baselines)\/[^ \t()<>"`]*/)) {
-        t = substr(rest, RSTART, RLENGTH)
-        rest = substr(rest, RSTART + RLENGTH)
-        if (t ~ /[$*]/) continue
-        sub(/[^A-Za-z0-9_}\/]+$/, "", t)
-        if (t ~ /\/$/) continue
-        emit(t)
-      }
-
-      rest = line
-      while (match(rest, /bench\/(golden|baselines)\/(\$\{?[A-Za-z_][A-Za-z0-9_]*\}?|" \+ [A-Za-z_][A-Za-z0-9_]* \+ ")[A-Za-z0-9_.-]*/)) {
-        t = substr(rest, RSTART, RLENGTH)
-        rest = substr(rest, RSTART + RLENGTH)
-        dir = t; sub(/\/[^\/]*$/, "/", dir)
-        tail = substr(t, length(dir) + 1)
-        v = tail; sub(/^(\$\{?|" \+ )/, "", v); sub(/[^A-Za-z0-9_].*$/, "", v)
-        suffix = tail
-        sub(/^(\$\{?[A-Za-z0-9_]*\}?|" \+ [A-Za-z0-9_]* \+ ")/, "", suffix)
-        if (!(v in words)) {
-          print "UNRESOLVED " FILENAME ":" FNR ": " t
-          continue
-        }
-        n = split(words[v], ws, " ")
-        for (i = 1; i <= n; i++) print dir ws[i] suffix
-      }
-    }
-  ' "$file"
-done | sort -u)
-
 status=0
-checked=0
-while IFS= read -r ref; do
-  [ -n "$ref" ] || continue
-  case "$ref" in
-    UNRESOLVED*)
-      echo "check_tracked_refs: cannot resolve template at ${ref#UNRESOLVED }" >&2
-      status=1
-      continue
-      ;;
-  esac
-  checked=$((checked + 1))
+# shellcheck disable=SC2086  # word splitting of the path lists is intended
+local_only=$({
+  git ls-files --others --exclude-standard -- $FIXTURES
+  git ls-files --others --ignored --exclude-standard -- $FIXTURES
+} | sort -u)
+for path in $local_only; do
+  echo "check_tracked_refs: $path is not tracked by git" >&2
+  status=1
+done
+
+# shellcheck disable=SC2086
+refs=$(git ls-files -z -- $SCANNED |
+  xargs -0 grep -ohE 'bench/(golden|baselines)/[A-Za-z0-9_.${}*-]+' |
+  grep -v '[$*{}]' | sed 's/[.]*$//' | grep -v '/$' | sort -u)
+for ref in $refs; do
   if ! git ls-files --error-unmatch -- "$ref" >/dev/null 2>&1; then
     echo "check_tracked_refs: $ref is referenced but not tracked by git" >&2
     status=1
   fi
-done <<EOF
-$refs
-EOF
+done
 
 if [ "$status" -eq 0 ]; then
-  echo "check_tracked_refs: all $checked referenced bench files are tracked"
+  echo "check_tracked_refs: every bench fixture and referenced path is tracked"
 fi
 exit "$status"

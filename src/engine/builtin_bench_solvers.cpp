@@ -47,8 +47,8 @@
 //   prize.bicriteria (E4) / prize.value_floor (E5)
 //       Theorem 2.3.1 / 2.3.3: prize-collecting bicriteria across eps (algo
 //       param) and the exact value floor across value spreads. reference =
-//       brute-force optimum among value>=Z schedules (reference-cached);
-//       metrics: value_frac + floor indicator / reached + measured spread.
+//       brute-force optimum among value>=Z schedules (reference-cached;
+//       processors * horizon <= 22); metrics: value_frac + floor indicator / reached + measured spread.
 //
 //   dp.agreeable / dp.gap_frontier (E13)
 //       Greedy vs the exact min-energy DP on agreeable one-processor
@@ -522,6 +522,13 @@ PrizeCase draw_prize_case(const ParamMap& params, util::Rng& instance_rng,
   }
 }
 
+/// Both prize solvers price a brute-force optimum on every trial.
+Status check_prize_params(const ParamMap& params) {
+  const auto gen = prize_instance_params(params, 1.0);
+  return check_brute_force_grid("the brute-force optimum",
+                                gen.num_processors, gen.horizon);
+}
+
 void register_prize(SolverRegistry& registry) {
   registry.add_fn("prize.bicriteria", [](const ParamMap& params,
                                          util::Rng& instance_rng,
@@ -546,7 +553,7 @@ void register_prize(SolverRegistry& registry) {
                    result.value >= (1.0 - eps) * c.z - 1e-9 ? 1.0 : 0.0);
     out.set_metric("bound", 2.0 * std::log2(1.0 / eps) + 1.0);
     return out;
-  });
+  }, check_prize_params);
 
   registry.add_fn("prize.value_floor", [](const ParamMap& params,
                                           util::Rng& instance_rng,
@@ -566,7 +573,7 @@ void register_prize(SolverRegistry& registry) {
     out.feasible = result.reached_target && result.value >= c.z - 1e-9;
     out.set_metric("measured_spread", c.instance.value_spread());
     return out;
-  });
+  }, check_prize_params);
 }
 
 // ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@
 //       random feasible instances under RestartCostModel. Params: jobs,
 //       processors, horizon, windows, window_length, alpha (0 = draw
 //       uniformly from [0.5, 3] per trial), vs_opt (1 = brute-force OPT as
-//       reference; small instances only).
+//       reference; rejected unless processors * horizon <= 22).
 //
 //   budget.value
 //       Dual budget scheduler: maximize value under an energy allowance.
@@ -302,6 +302,13 @@ TrialResult power_trial(const ParamMap& params, util::Rng& instance_rng,
   return out;
 }
 
+/// vs_opt prices the brute-force optimum, so the slot grid must fit it.
+Status check_power_params(const ParamMap& params) {
+  if (params.get_int("vs_opt", 0) == 0) return Status();
+  const auto gen = instance_params(params);
+  return check_brute_force_grid("vs_opt", gen.num_processors, gen.horizon);
+}
+
 void register_scheduling(SolverRegistry& registry) {
   registry.add_fn("power.greedy", [](const ParamMap& params,
                                      util::Rng& instance_rng, util::Rng&) {
@@ -317,7 +324,7 @@ void register_scheduling(SolverRegistry& registry) {
                              static_cast<double>(result.gain_evaluations);
                          return out;
                        });
-  });
+  }, check_power_params);
   registry.add_fn("power.always_on", [](const ParamMap& params,
                                         util::Rng& instance_rng, util::Rng&) {
     return power_trial(params, instance_rng,
@@ -330,7 +337,7 @@ void register_scheduling(SolverRegistry& registry) {
                          if (schedule) out.objective = schedule->energy_cost;
                          return out;
                        });
-  });
+  }, check_power_params);
   registry.add_fn("power.per_job", [](const ParamMap& params,
                                       util::Rng& instance_rng, util::Rng&) {
     return power_trial(params, instance_rng,
@@ -344,7 +351,7 @@ void register_scheduling(SolverRegistry& registry) {
                          if (schedule) out.objective = schedule->energy_cost;
                          return out;
                        });
-  });
+  }, check_power_params);
 
   registry.add_fn("budget.value", [](const ParamMap& params,
                                      util::Rng& instance_rng, util::Rng&) {

@@ -63,6 +63,19 @@ double power_opt_reference(const scheduling::SchedulingInstance& instance,
   });
 }
 
+Status check_brute_force_grid(const std::string& what, int processors,
+                              int horizon) {
+  if (processors * horizon <= scheduling::kMaxBruteForceSlots) {
+    return Status();
+  }
+  return Status::usage(
+      what + " enumerates at most " +
+      std::to_string(scheduling::kMaxBruteForceSlots) +
+      " slots, but processors * horizon = " + std::to_string(processors) +
+      " * " + std::to_string(horizon) + " = " +
+      std::to_string(processors * horizon));
+}
+
 ReferenceCacheStats reference_cache_stats() {
   Cache& c = cache();
   const std::lock_guard<std::mutex> lock(c.mutex);

@@ -11,6 +11,8 @@
 #include <functional>
 #include <string>
 
+#include "util/status.hpp"
+
 namespace ps::scheduling {
 class SchedulingInstance;
 }  // namespace ps::scheduling
@@ -37,6 +39,14 @@ double cached_reference(const std::string& key,
 /// when the instance has no full schedule.
 double power_opt_reference(const scheduling::SchedulingInstance& instance,
                            double alpha);
+
+/// Usage error unless a processors x horizon slot grid is within
+/// scheduling::kMaxBruteForceSlots — the Solver::check_params of every
+/// solver whose trials price an exhaustive optimum on a generated instance
+/// (its useful slots are a subset of the grid). `what` names the reference
+/// in the message.
+Status check_brute_force_grid(const std::string& what, int processors,
+                              int horizon);
 
 struct ReferenceCacheStats {
   std::size_t hits = 0;

@@ -8,8 +8,10 @@ void SolverRegistry::add(const std::string& name,
 }
 
 void SolverRegistry::add_fn(const std::string& name,
-                            FunctionSolver::TrialFn fn) {
-  add(name, std::make_unique<FunctionSolver>(std::move(fn)));
+                            FunctionSolver::TrialFn fn,
+                            FunctionSolver::CheckFn check) {
+  add(name,
+      std::make_unique<FunctionSolver>(std::move(fn), std::move(check)));
 }
 
 const Solver* SolverRegistry::find(const std::string& name) const {

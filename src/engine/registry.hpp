@@ -22,8 +22,10 @@ class SolverRegistry {
   /// Registers `solver` under `name`; replaces any previous registration.
   void add(const std::string& name, std::unique_ptr<Solver> solver);
 
-  /// Convenience: register a plain trial function.
-  void add_fn(const std::string& name, FunctionSolver::TrialFn fn);
+  /// Convenience: register a plain trial function, with an optional
+  /// parameter check (Solver::check_params).
+  void add_fn(const std::string& name, FunctionSolver::TrialFn fn,
+              FunctionSolver::CheckFn check = nullptr);
 
   /// The solver registered under `name`, or nullptr when unknown.
   const Solver* find(const std::string& name) const;

@@ -10,6 +10,26 @@
 #include "obs/trace.hpp"
 
 namespace ps::engine {
+namespace {
+
+/// The first scenario whose solver rejects its parameters, as a usage
+/// error — checked over the whole plan, so every shard of it agrees.
+/// Ad-hoc plans only: a preset's parameters are compiled in, never taken
+/// from the command line.
+Status check_scenarios(const SolverRegistry& registry,
+                       const std::vector<ScenarioSpec>& scenarios) {
+  for (const auto& spec : scenarios) {
+    const Solver* solver = registry.find(spec.solver);
+    if (solver == nullptr) continue;
+    if (Status status = solver->check_params(spec.params); !status.ok()) {
+      return Status::usage("scenario " + spec.label() + ": " +
+                           status.message());
+    }
+  }
+  return Status();
+}
+
+}  // namespace
 
 Session::Session(RunConfig config)
     : config_(std::move(config)),
@@ -75,13 +95,18 @@ Status Session::prepare_units() {
                            "' names no --grid axis or --param of the sweep");
     }
   }
+  std::vector<ScenarioSpec> scenarios = plan.expand();
+  if (Status status = check_scenarios(registry_, scenarios); !status.ok()) {
+    return status;
+  }
+  if (config_.shard_count > 1) {
+    scenarios = shard_scenarios(scenarios, config_.shard_index,
+                                config_.shard_count);
+  }
   effective_seed_ = plan.seed;
   effective_trials_ = plan.trials;
-  units_.push_back(
-      {"sweep results (seed " + std::to_string(plan.seed) + ")",
-       config_.shard_count > 1
-           ? plan.shard(config_.shard_index, config_.shard_count)
-           : plan.expand()});
+  units_.push_back({"sweep results (seed " + std::to_string(plan.seed) + ")",
+                    std::move(scenarios)});
   return Status();
 }
 

@@ -148,6 +148,11 @@ Status SolveService::solve_generator(const SolveRequest& request,
         "solve: schedule extraction requires an explicit instance "
         "(generator requests aggregate over random instances)");
   }
+  if (Status status =
+          registry_.find(request.solver)->check_params(request.params);
+      !status.ok()) {
+    return Status::usage("solve: " + status.message());
+  }
 
   ScenarioSpec spec;
   spec.solver = request.solver;

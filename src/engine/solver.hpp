@@ -11,6 +11,7 @@
 
 #include "engine/scenario.hpp"
 #include "util/rng.hpp"
+#include "util/status.hpp"
 
 namespace ps::engine {
 
@@ -73,6 +74,16 @@ class Solver {
   virtual TrialResult run_trial(const ParamMap& params,
                                 util::Rng& instance_rng,
                                 util::Rng& algo_rng) const = 0;
+
+  /// Usage error for parameters no trial can run with (an exhaustive
+  /// reference too large to enumerate, ...). The front ends that take
+  /// parameters from outside — Session for ad-hoc sweeps, SolveService for
+  /// generator requests — ask before running a scenario, so run_trial may
+  /// treat these as preconditions.
+  virtual Status check_params(const ParamMap& params) const {
+    (void)params;
+    return Status();
+  }
 };
 
 /// Adapter for registering a plain function (the common case).
@@ -80,16 +91,23 @@ class FunctionSolver final : public Solver {
  public:
   using TrialFn =
       std::function<TrialResult(const ParamMap&, util::Rng&, util::Rng&)>;
+  using CheckFn = std::function<Status(const ParamMap&)>;
 
-  explicit FunctionSolver(TrialFn fn) : fn_(std::move(fn)) {}
+  explicit FunctionSolver(TrialFn fn, CheckFn check = nullptr)
+      : fn_(std::move(fn)), check_(std::move(check)) {}
 
   TrialResult run_trial(const ParamMap& params, util::Rng& instance_rng,
                         util::Rng& algo_rng) const override {
     return fn_(params, instance_rng, algo_rng);
   }
 
+  Status check_params(const ParamMap& params) const override {
+    return check_ ? check_(params) : Status();
+  }
+
  private:
   TrialFn fn_;
+  CheckFn check_;
 };
 
 }  // namespace ps::engine

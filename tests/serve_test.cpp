@@ -186,6 +186,39 @@ TEST(SolveService, UsageErrorsAreFailClosed) {
             Status::Code::kRuntime);
 }
 
+TEST(SolveService, BruteForceReferencesOutsideTheSlotCeilingAreUsage) {
+  const engine::SolveService service;
+  engine::SolveResponse response;
+
+  // The default generator grid is 2 processors x 12 steps = 24 slots, above
+  // the 22 the brute force enumerates: rejected before any trial runs.
+  engine::SolveRequest request = generator_request("big");
+  request.params.set("vs_opt", 1.0);
+  Status status = service.solve(request, response);
+  EXPECT_EQ(status.code(), Status::Code::kUsage);
+  EXPECT_NE(status.message().find("processors * horizon = 2 * 12 = 24"),
+            std::string::npos)
+      << status.message();
+
+  request = generator_request("big");
+  request.solver = "prize.value_floor";
+  request.params.set("processors", 4.0);
+  request.params.set("horizon", 6.0);
+  EXPECT_EQ(service.solve(request, response).code(), Status::Code::kUsage);
+
+  // At the ceiling the same requests are answered.
+  request = generator_request("fits");
+  request.params.set("vs_opt", 1.0);
+  request.params.set("horizon", 11.0);
+  status = service.solve(request, response);
+  ASSERT_TRUE(status.ok()) << status.message();
+  EXPECT_TRUE(response.has_ratio);
+
+  // Without vs_opt nothing is enumerated, so the grid is unconstrained.
+  request = generator_request("no-opt");
+  EXPECT_TRUE(service.solve(request, response).ok());
+}
+
 // ---------------------------------------------------------------------------
 // Wire schema.
 

@@ -340,6 +340,21 @@ TEST(SessionStatus, AdHocValidation) {
     config.plan.trials = 0;
     EXPECT_EQ(Session(std::move(config)).run().code(), Status::Code::kUsage);
   }
+  {  // a grid point whose brute-force reference exceeds the slot ceiling,
+     // on every shard of the plan alike
+    for (std::size_t shard = 0; shard < 2; ++shard) {
+      RunConfig config;
+      config.plan.solvers = {"power.greedy"};
+      config.plan.base_params = {{"vs_opt", 1.0}};
+      config.plan.axes = {{"horizon", {8, 12}}};
+      config.shard_index = shard;
+      config.shard_count = 2;
+      const Status status = Session(std::move(config)).run();
+      EXPECT_EQ(status.code(), Status::Code::kUsage);
+      EXPECT_NE(status.message().find("vs_opt"), std::string::npos)
+          << status.message();
+    }
+  }
 }
 
 TEST(SessionStatus, MissingMergeInputIsRuntime) {
