@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <string>
@@ -30,6 +29,7 @@
 #include "serve/loadgen.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
+#include "util/file_io.hpp"
 #include "util/status.hpp"
 
 // The default --source-root of `powersched dispatch`: the tree this binary
@@ -754,7 +754,14 @@ std::string cli_reference_markdown() {
       "**Exit codes:** `0` success · `1` runtime failure (the run itself "
       "failed:\nunwritable sink, unreadable cache, merge not covering the "
       "plan, ...) · `2`\nusage error (unknown preset/solver/option, bad "
-      "shard spec, conflicting\nflags, ...).\n";
+      "shard spec, conflicting\nflags, ...).\n"
+      "\n"
+      "**Output files** (`--csv`, `--report`, `--metrics-json`, `--trace`, "
+      "the bench\nsnapshot, the dispatch manifest, loadgen's CSVs and SVG) are "
+      "written only\nwhen their bytes change: a rerun that reproduces a file "
+      "leaves it alone,\ninode and mtime included. A changed file is replaced "
+      "atomically (temp file\nin the same directory, then rename); a symlink, "
+      "device or FIFO at the path\nis written through in place.\n";
   for (const auto& spec : commands()) {
     out += "\n## powersched ";
     out += spec.name;
@@ -866,14 +873,11 @@ int emit_obs(const ObsRequest& request, int exit_code) {
       std::fputs(obs::render_metrics_text(snapshot).c_str(), stderr);
     }
     if (!request.metrics_json_path.empty()) {
-      std::ofstream out(request.metrics_json_path,
-                        std::ios::binary | std::ios::trunc);
-      if (out) out << obs::render_metrics_json(snapshot);
-      out.flush();
-      if (!out) {
-        std::fprintf(stderr,
-                     "powersched: cannot write metrics JSON file '%s'\n",
-                     request.metrics_json_path.c_str());
+      const Status status = util::write_file_if_changed(
+          request.metrics_json_path, obs::render_metrics_json(snapshot));
+      if (!status.ok()) {
+        std::fprintf(stderr, "powersched: metrics JSON: %s\n",
+                     status.message().c_str());
         if (exit_code == 0) exit_code = 1;
       }
     }

@@ -14,6 +14,7 @@
 #include "obs/metrics.hpp"
 #include "obs/progress.hpp"
 #include "obs/time.hpp"
+#include "util/file_io.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ps::dispatch {
@@ -68,25 +69,20 @@ bool load_manifest(const std::string& path, Manifest& out) {
          out.shards > 0;
 }
 
-bool save_manifest(const std::string& path, const Manifest& manifest) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out << kManifestHeader << '\n';
-    out << "fingerprint " << manifest.fingerprint_hex << " files "
-        << manifest.file_count << '\n';
-    out << "plan " << manifest.signature << '\n';
-    out << "shards " << manifest.shards << '\n';
-    for (std::size_t i = 0; i < manifest.shards; ++i) {
-      out << "shard " << i << ' ' << shard_artifact_name(i, manifest.shards)
-          << '\n';
-    }
-    out << "end\n";
-    out.flush();
-    if (!out) return false;
+/// Rewrites the manifest only when its bytes change, so a warm rerun leaves
+/// it (and its mtime) alone.
+Status save_manifest(const std::string& path, const Manifest& manifest) {
+  std::string text = std::string(kManifestHeader) + "\nfingerprint " +
+                     manifest.fingerprint_hex + " files " +
+                     std::to_string(manifest.file_count) + "\nplan " +
+                     manifest.signature + "\nshards " +
+                     std::to_string(manifest.shards) + "\n";
+  for (std::size_t i = 0; i < manifest.shards; ++i) {
+    text += "shard " + std::to_string(i) + ' ' +
+            shard_artifact_name(i, manifest.shards) + '\n';
   }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
+  text += "end\n";
+  return util::write_file_if_changed(path, text);
 }
 
 bool file_exists(const std::string& path) {
@@ -348,9 +344,8 @@ Status Dispatcher::run(DispatchReport* report) {
     stamp.file_count = rep.fingerprint.file_count;
     stamp.signature = rep.plan_signature;
     stamp.shards = config_.shards;
-    if (!save_manifest(manifest_path, stamp)) {
-      return Status::runtime("dispatch: cannot write manifest '" +
-                             manifest_path + "'");
+    if (Status status = save_manifest(manifest_path, stamp); !status.ok()) {
+      return Status::runtime("dispatch: manifest: " + status.message());
     }
   }
 

@@ -522,9 +522,13 @@ PrizeCase draw_prize_case(const ParamMap& params, util::Rng& instance_rng,
   }
 }
 
-/// Both prize solvers price a brute-force optimum on every trial.
+/// Both prize solvers draw feasible instances and price a brute-force
+/// optimum on every trial.
 Status check_prize_params(const ParamMap& params) {
   const auto gen = prize_instance_params(params, 1.0);
+  if (Status status = check_feasible_generator(gen); !status.ok()) {
+    return status;
+  }
   return check_brute_force_grid("the brute-force optimum",
                                 gen.num_processors, gen.horizon);
 }

@@ -32,7 +32,8 @@
 //       random feasible instances under RestartCostModel. Params: jobs,
 //       processors, horizon, windows, window_length, alpha (0 = draw
 //       uniformly from [0.5, 3] per trial), vs_opt (1 = brute-force OPT as
-//       reference; rejected unless processors * horizon <= 22).
+//       reference; rejected unless processors * horizon <= 22). Sizes
+//       below 1 and more jobs than processors * horizon are rejected.
 //
 //   budget.value
 //       Dual budget scheduler: maximize value under an energy allowance.
@@ -302,10 +303,14 @@ TrialResult power_trial(const ParamMap& params, util::Rng& instance_rng,
   return out;
 }
 
-/// vs_opt prices the brute-force optimum, so the slot grid must fit it.
+/// The generator must be able to draw a feasible instance; vs_opt also
+/// prices the brute-force optimum, so the slot grid must fit it.
 Status check_power_params(const ParamMap& params) {
-  if (params.get_int("vs_opt", 0) == 0) return Status();
   const auto gen = instance_params(params);
+  if (Status status = check_feasible_generator(gen); !status.ok()) {
+    return status;
+  }
+  if (params.get_int("vs_opt", 0) == 0) return Status();
   return check_brute_force_grid("vs_opt", gen.num_processors, gen.horizon);
 }
 

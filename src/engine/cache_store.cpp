@@ -1,21 +1,18 @@
 #include "engine/cache_store.hpp"
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
-#include <cmath>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
-#include <sstream>
+#include <string_view>
 
 #include "obs/metrics.hpp"
 #include "obs/time.hpp"
+#include "util/file_io.hpp"
 
 namespace ps::engine {
 
@@ -24,13 +21,16 @@ const char kScenarioCacheFormatHeaderV1[] = "powersched-scenario-cache v1";
 
 namespace {
 
+/// Whitespace as `istream >>` splits on it in the classic locale.
+bool is_space(char ch) { return ch == ' ' || (ch >= '\t' && ch <= '\r'); }
+
 /// Names embedded in the line format (solver, parameter, metric names) must
 /// be single whitespace-free tokens. Every name in the library is; this
 /// guards the format against a future one that is not.
 bool plain_token(const std::string& name) {
   if (name.empty()) return false;
   for (char ch : name) {
-    if (std::isspace(static_cast<unsigned char>(ch))) return false;
+    if (is_space(ch)) return false;
   }
   return true;
 }
@@ -54,43 +54,96 @@ bool load_error(const std::string& path, std::size_t line_no,
   return false;
 }
 
-/// Parses one whitespace-separated token as a double, requiring the whole
-/// token to be consumed. strtod round-trips the %.17g rendering exactly, so
-/// a loaded accumulator state is bit-identical to the saved one. Underflow
-/// (glibc flags subnormals with ERANGE even though the value is exact) is
-/// accepted; only overflow to ±HUGE_VAL is rejected.
-bool parse_double(std::istringstream& in, double& out) {
-  std::string token;
-  if (!(in >> token)) return false;
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtod(token.c_str(), &end);
-  if (end == token.c_str() || *end != '\0') return false;
-  return !(errno == ERANGE && (out == HUGE_VAL || out == -HUGE_VAL));
+/// The whitespace-separated tokens of one line, as views into it, with
+/// fail-closed number parsing.
+class Fields {
+ public:
+  explicit Fields(std::string_view line) : rest_(line) {}
+
+  /// The next token; false (and an empty token) at the end of the line.
+  bool next(std::string_view& token) {
+    std::size_t begin = 0;
+    while (begin < rest_.size() && is_space(rest_[begin])) ++begin;
+    std::size_t end = begin;
+    while (end < rest_.size() && !is_space(rest_[end])) ++end;
+    token = rest_.substr(begin, end - begin);
+    rest_.remove_prefix(end);
+    return !token.empty();
+  }
+
+  bool next(std::string& out) {
+    std::string_view token;
+    if (!next(token)) return false;
+    out.assign(token);
+    return true;
+  }
+
+  /// A decimal integer, or a double in format_param's grammar, filling the
+  /// whole token. from_chars reads the %.17g rendering back bit-exactly,
+  /// subnormals included, and takes no leading '+', no hex and no value
+  /// outside the type's range (overflow, or underflow to zero) — tokens
+  /// the writer never emits fail the load.
+  template <typename Number>
+  bool next_number(Number& out) {
+    std::string_view token;
+    if (!next(token)) return false;
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, out);
+    return ec == std::errc() && ptr == end;
+  }
+
+  /// Whether only whitespace remains.
+  bool done() {
+    std::string_view token;
+    return !next(token);
+  }
+
+ private:
+  std::string_view rest_;
+};
+
+bool parse_accumulator_state(Fields& in, util::Accumulator::State& state) {
+  return in.next_number(state.count) && in.next_number(state.mean) &&
+         in.next_number(state.m2) && in.next_number(state.min) &&
+         in.next_number(state.max) && in.next_number(state.sum);
 }
 
-bool parse_size(std::istringstream& in, std::size_t& out) {
-  std::string token;
-  if (!(in >> token)) return false;
-  char* end = nullptr;
-  errno = 0;
-  out = static_cast<std::size_t>(std::strtoull(token.c_str(), &end, 10));
-  return end != token.c_str() && *end == '\0' && errno == 0;
-}
+/// Cache-file output through stdio's buffer. Numbers are formatted into a
+/// small stack buffer, so a save builds no per-value and no whole-file
+/// string; a failed write shows in the stream's error flag.
+class LineWriter {
+ public:
+  explicit LineWriter(std::FILE* file) : file_(file) {}
 
-bool parse_accumulator_state(std::istringstream& in,
-                             util::Accumulator::State& state) {
-  return parse_size(in, state.count) && parse_double(in, state.mean) &&
-         parse_double(in, state.m2) && parse_double(in, state.min) &&
-         parse_double(in, state.max) && parse_double(in, state.sum);
-}
+  LineWriter& operator<<(std::string_view text) {
+    std::fwrite(text.data(), 1, text.size(), file_);
+    return *this;
+  }
+  LineWriter& operator<<(char ch) {
+    std::fputc(ch, file_);
+    return *this;
+  }
+  LineWriter& operator<<(int value) { return put_integer(value); }
+  LineWriter& operator<<(std::uint64_t value) { return put_integer(value); }
+  LineWriter& operator<<(double value) {
+    char text[kMaxParamChars];
+    return *this << std::string_view(text, format_param_to(text, value) - text);
+  }
+ private:
+  template <typename Int>
+  LineWriter& put_integer(Int value) {
+    char text[24];
+    const char* end = std::to_chars(text, text + sizeof(text), value).ptr;
+    return *this << std::string_view(text, end - text);
+  }
 
-void write_accumulator_state(std::ostream& out,
-                             const util::Accumulator& acc) {
+  std::FILE* file_;
+};
+
+void write_accumulator_state(LineWriter& out, const util::Accumulator& acc) {
   const util::Accumulator::State state = acc.state();
-  out << state.count << ' ' << format_param(state.mean) << ' '
-      << format_param(state.m2) << ' ' << format_param(state.min) << ' '
-      << format_param(state.max) << ' ' << format_param(state.sum);
+  out << std::uint64_t{state.count} << ' ' << state.mean << ' ' << state.m2
+      << ' ' << state.min << ' ' << state.max << ' ' << state.sum;
 }
 
 /// The five core accumulators, in fixed file order.
@@ -107,12 +160,12 @@ constexpr const char* kSampledAccumulators[] = {"objective", "ratio", "cost",
 /// retained readings in ascending order (sorted_samples() — the canonical
 /// deterministic order, so the emitted bytes never depend on whether a
 /// percentile was computed before the save).
-void write_samples_line(std::ostream& out, const char* keyword,
+void write_samples_line(LineWriter& out, const char* keyword,
                         const std::string& name,
                         const util::Accumulator& acc) {
   const std::vector<double>& sorted = acc.sorted_samples();
-  out << keyword << ' ' << name << ' ' << sorted.size();
-  for (double v : sorted) out << ' ' << format_param(v);
+  out << keyword << ' ' << name << ' ' << std::uint64_t{sorted.size()};
+  for (double v : sorted) out << ' ' << v;
   out << '\n';
 }
 
@@ -186,9 +239,9 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    std::istringstream fields(line);
+    Fields fields(line);
     std::string keyword;
-    fields >> keyword;
+    fields.next(keyword);
 
     if (!in_entry) {
       if (keyword != "scenario") {
@@ -202,7 +255,7 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
       samples_flag = 0;
       core_samples.clear();
       metric_samples.clear();
-      if (!(fields >> spec.solver)) {
+      if (!fields.next(spec.solver)) {
         return load_error(path_, line_no, "scenario line missing solver name");
       }
       in_entry = true;
@@ -210,39 +263,36 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
     }
 
     if (keyword == "trials") {
-      if (!(fields >> spec.trials)) {
+      if (!fields.next_number(spec.trials)) {
         return load_error(path_, line_no, "bad trials line");
       }
     } else if (keyword == "seed") {
-      std::size_t seed = 0;
-      if (!parse_size(fields, seed)) {
+      if (!fields.next_number(spec.seed)) {
         return load_error(path_, line_no, "bad seed line");
       }
-      spec.seed = seed;
     } else if (keyword == "param") {
       std::string name;
       double value = 0.0;
-      if (!(fields >> name) || !parse_double(fields, value)) {
+      if (!fields.next(name) || !fields.next_number(value)) {
         return load_error(path_, line_no, "bad param line");
       }
       spec.params.set(name, value);
     } else if (keyword == "algo_param") {
       std::string name;
-      if (!(fields >> name)) {
+      if (!fields.next(name)) {
         return load_error(path_, line_no, "bad algo_param line");
       }
       spec.algo_params.push_back(name);
     } else if (keyword == "aggregate") {
-      if (!parse_size(fields, result.trials_run) ||
-          !parse_size(fields, result.infeasible)) {
+      if (!fields.next_number(result.trials_run) ||
+          !fields.next_number(result.infeasible)) {
         return load_error(path_, line_no, "bad aggregate line");
       }
       if (version >= 2) {
         // v2 requires the 0/1 samples flag as a third field — a v2 header
         // over a v1 body fails here rather than loading half-understood.
         std::size_t flag = 0;
-        std::string extra;
-        if (!parse_size(fields, flag) || flag > 1 || (fields >> extra)) {
+        if (!fields.next_number(flag) || flag > 1 || !fields.done()) {
           return load_error(path_, line_no,
                             "bad aggregate line: v2 requires "
                             "'aggregate <trials> <infeasible> <0|1>'");
@@ -260,7 +310,7 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
       }
       std::string name;
       std::size_t count = 0;
-      if (!(fields >> name) || !parse_size(fields, count)) {
+      if (!fields.next(name) || !fields.next_number(count)) {
         return load_error(path_, line_no, "bad " + keyword + " line");
       }
       if (keyword == "samples") {
@@ -281,7 +331,7 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
       values.reserve(std::min(count, line.size() / 2 + 1));
       for (std::size_t i = 0; i < count; ++i) {
         double value = 0.0;
-        if (!parse_double(fields, value)) {
+        if (!fields.next_number(value)) {
           return load_error(path_, line_no,
                             keyword + " '" + name + "': expected " +
                                 std::to_string(count) +
@@ -289,8 +339,7 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
         }
         values.push_back(value);
       }
-      std::string extra;
-      if (fields >> extra) {
+      if (!fields.done()) {
         return load_error(path_, line_no,
                           keyword + " '" + name +
                               "': trailing tokens after the declared " +
@@ -304,7 +353,7 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
     } else if (keyword == "acc") {
       std::string name;
       util::Accumulator::State state;
-      if (!(fields >> name) || !parse_accumulator_state(fields, state)) {
+      if (!fields.next(name) || !parse_accumulator_state(fields, state)) {
         return load_error(path_, line_no, "bad acc line");
       }
       util::Accumulator* acc = core_accumulator(result, name);
@@ -316,7 +365,7 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
     } else if (keyword == "metric") {
       std::string name;
       util::Accumulator::State state;
-      if (!(fields >> name) || !parse_accumulator_state(fields, state)) {
+      if (!fields.next(name) || !parse_accumulator_state(fields, state)) {
         return load_error(path_, line_no, "bad metric line");
       }
       result.metrics.insert_or_assign(name,
@@ -403,90 +452,72 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
 bool ScenarioCacheStore::save(const ScenarioCache& cache) const {
   const obs::StopWatch watch;
   std::size_t entries_saved = 0;
-  const std::string tmp_path =
-      path_ + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-  std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    std::fprintf(stderr, "cache save: cannot open '%s' for writing\n",
-                 tmp_path.c_str());
-    return false;
-  }
-
-  out << kScenarioCacheFormatHeader << '\n';
-  for (const auto& [key, result] : cache.snapshot()) {
-    const ScenarioSpec& spec = result->spec;
-    bool names_ok = plain_token(spec.solver);
-    for (const auto& [name, value] : spec.params.values()) {
-      names_ok = names_ok && plain_token(name);
-    }
-    for (const auto& name : spec.algo_params) {
-      names_ok = names_ok && plain_token(name);
-    }
-    for (const auto& [name, acc] : result->metrics) {
-      names_ok = names_ok && plain_token(name);
-    }
-    if (!names_ok) {
-      std::fprintf(stderr,
-                   "cache save: scenario '%s' has a name the line format "
-                   "cannot hold (empty or contains whitespace)\n",
-                   key.c_str());
-      out.close();
-      std::remove(tmp_path.c_str());
-      return false;
-    }
-
-    out << "scenario " << spec.solver << '\n';
-    out << "trials " << spec.trials << '\n';
-    out << "seed " << spec.seed << '\n';
-    for (const auto& [name, value] : spec.params.values()) {
-      out << "param " << name << ' ' << format_param(value) << '\n';
-    }
-    for (const auto& name : spec.algo_params) {
-      out << "algo_param " << name << '\n';
-    }
-    const bool with_samples = all_samples_kept(*result);
-    out << "aggregate " << result->trials_run << ' ' << result->infeasible
-        << ' ' << (with_samples ? 1 : 0) << '\n';
-    const util::Accumulator* const core[] = {
-        &result->objective, &result->ratio, &result->cost,
-        &result->oracle_calls, &result->wall_ms};
-    for (std::size_t i = 0; i < std::size(kCoreAccumulators); ++i) {
-      out << "acc " << kCoreAccumulators[i] << ' ';
-      write_accumulator_state(out, *core[i]);
-      out << '\n';
-    }
-    if (with_samples) {
-      for (std::size_t i = 0; i < std::size(kSampledAccumulators); ++i) {
-        write_samples_line(out, "samples", kSampledAccumulators[i], *core[i]);
+  const Status status = util::replace_file(path_, [&](std::FILE* file) {
+    LineWriter out(file);
+    out << kScenarioCacheFormatHeader << '\n';
+    for (const auto& [key, result] : cache.snapshot()) {
+      const ScenarioSpec& spec = result->spec;
+      bool names_ok = plain_token(spec.solver);
+      for (const auto& [name, value] : spec.params.values()) {
+        names_ok = names_ok && plain_token(name);
       }
-    }
-    for (const auto& [name, acc] : result->metrics) {
-      out << "metric " << name << ' ';
-      write_accumulator_state(out, acc);
-      out << '\n';
-    }
-    if (with_samples) {
+      for (const auto& name : spec.algo_params) {
+        names_ok = names_ok && plain_token(name);
+      }
       for (const auto& [name, acc] : result->metrics) {
-        write_samples_line(out, "metric_samples", name, acc);
+        names_ok = names_ok && plain_token(name);
       }
-    }
-    out << "end\n";
-    ++entries_saved;
-  }
+      if (!names_ok) {
+        std::fprintf(stderr,
+                     "cache save: scenario '%s' has a name the line format "
+                     "cannot hold (empty or contains whitespace)\n",
+                     key.c_str());
+        return false;
+      }
 
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "cache save: write to '%s' failed\n",
-                 tmp_path.c_str());
-    out.close();
-    std::remove(tmp_path.c_str());
-    return false;
-  }
-  out.close();
-  if (std::rename(tmp_path.c_str(), path_.c_str()) != 0) {
-    std::fprintf(stderr, "cache save: rename '%s' -> '%s' failed: %s\n",
-                 tmp_path.c_str(), path_.c_str(), std::strerror(errno));
-    std::remove(tmp_path.c_str());
+      out << "scenario " << spec.solver << '\n';
+      out << "trials " << spec.trials << '\n';
+      out << "seed " << std::uint64_t{spec.seed} << '\n';
+      for (const auto& [name, value] : spec.params.values()) {
+        out << "param " << name << ' ' << value << '\n';
+      }
+      for (const auto& name : spec.algo_params) {
+        out << "algo_param " << name << '\n';
+      }
+      const bool with_samples = all_samples_kept(*result);
+      out << "aggregate " << std::uint64_t{result->trials_run} << ' '
+          << std::uint64_t{result->infeasible} << ' ' << (with_samples ? 1 : 0)
+          << '\n';
+      const util::Accumulator* const core[] = {
+          &result->objective, &result->ratio, &result->cost,
+          &result->oracle_calls, &result->wall_ms};
+      for (std::size_t i = 0; i < std::size(kCoreAccumulators); ++i) {
+        out << "acc " << kCoreAccumulators[i] << ' ';
+        write_accumulator_state(out, *core[i]);
+        out << '\n';
+      }
+      if (with_samples) {
+        for (std::size_t i = 0; i < std::size(kSampledAccumulators); ++i) {
+          write_samples_line(out, "samples", kSampledAccumulators[i], *core[i]);
+        }
+      }
+      for (const auto& [name, acc] : result->metrics) {
+        out << "metric " << name << ' ';
+        write_accumulator_state(out, acc);
+        out << '\n';
+      }
+      if (with_samples) {
+        for (const auto& [name, acc] : result->metrics) {
+          write_samples_line(out, "metric_samples", name, acc);
+        }
+      }
+      out << "end\n";
+      ++entries_saved;
+    }
+    return true;
+  });
+  if (!status.ok()) {
+    std::fprintf(stderr, "cache save: %s\n", status.message().c_str());
     return false;
   }
   if (obs::enabled()) {

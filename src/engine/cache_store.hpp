@@ -7,7 +7,12 @@
 // The format round-trips every double through %.17g, which is exact for
 // IEEE-754 binary64: a result loaded from disk reproduces the original
 // aggregates bit-for-bit, and a merged multi-shard run therefore emits the
-// same CSV bytes a single-process run would have. Files start with a
+// same CSV bytes a single-process run would have. Numbers are written with
+// std::to_chars and read with std::from_chars over whole tokens, so the
+// loader takes exactly the writer's grammar: plain decimal integers, and
+// doubles as %.17g renders them (subnormals, inf and nan included). A
+// leading '+', hex, a negative count, or a value outside double's range
+// (overflow, or underflow to zero) fails the load. Files start with a
 // version header and loading is loud and fails closed on any version or
 // schema mismatch — a half-understood cache must never silently feed a
 // results table. Saves write to a temp file in the same directory and

@@ -18,6 +18,7 @@
 #include "engine/scenario.hpp"
 #include "obs/json.hpp"
 #include "obs/time.hpp"
+#include "util/file_io.hpp"
 
 namespace ps::engine {
 
@@ -39,11 +40,13 @@ double median_ns_per_op(const Solver& solver, const ScenarioSpec& spec,
                         int trials, int reps, int warmup) {
   std::vector<double> rep_ns;
   rep_ns.reserve(static_cast<std::size_t>(reps));
+  const SeedStream instance_seeds = spec.instance_seeds();
+  const SeedStream algo_seeds = spec.algo_seeds();
   for (int rep = -warmup; rep < reps; ++rep) {
     const std::uint64_t start = obs::now_ns();
     for (int t = 0; t < trials; ++t) {
-      util::Rng instance_rng(spec.instance_seed(t));
-      util::Rng algo_rng(spec.algo_seed(t));
+      util::Rng instance_rng(instance_seeds.seed(t));
+      util::Rng algo_rng(algo_seeds.seed(t));
       (void)solver.run_trial(spec.params, instance_rng, algo_rng);
     }
     const std::uint64_t elapsed = obs::now_ns() - start;
@@ -173,18 +176,7 @@ ps::Status write_bench_report(const BenchReport& report,
                                  parent.string() + "': " + ec.message());
     }
   }
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return ps::Status::runtime("cannot open bench output file '" + path +
-                               "'");
-  }
-  out << render_bench_json(report);
-  out.flush();
-  if (!out) {
-    return ps::Status::runtime("write to bench output file '" + path +
-                               "' failed");
-  }
-  return ps::Status();
+  return util::write_file_if_changed(path, render_bench_json(report));
 }
 
 ps::Status load_bench_report(const std::string& path, BenchReport& out) {

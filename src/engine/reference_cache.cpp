@@ -7,6 +7,7 @@
 #include "obs/metrics.hpp"
 #include "scheduling/baselines.hpp"
 #include "scheduling/cost_model.hpp"
+#include "scheduling/generators.hpp"
 #include "scheduling/instance_io.hpp"
 
 namespace ps::engine {
@@ -74,6 +75,26 @@ Status check_brute_force_grid(const std::string& what, int processors,
       " slots, but processors * horizon = " + std::to_string(processors) +
       " * " + std::to_string(horizon) + " = " +
       std::to_string(processors * horizon));
+}
+
+Status check_feasible_generator(const scheduling::RandomInstanceParams& gen) {
+  if (gen.num_jobs < 1 || gen.num_processors < 1 || gen.horizon < 1 ||
+      gen.window_length < 1) {
+    return Status::usage(
+        "jobs, processors, horizon and window_length must be >= 1, but "
+        "jobs = " + std::to_string(gen.num_jobs) +
+        ", processors = " + std::to_string(gen.num_processors) +
+        ", horizon = " + std::to_string(gen.horizon) +
+        ", window_length = " + std::to_string(gen.window_length));
+  }
+  const long long slots =
+      static_cast<long long>(gen.num_processors) * gen.horizon;
+  if (gen.num_jobs <= slots) return Status();
+  return Status::usage(
+      "a feasible instance plants each job in its own slot, but jobs = " +
+      std::to_string(gen.num_jobs) + " exceeds processors * horizon = " +
+      std::to_string(gen.num_processors) + " * " +
+      std::to_string(gen.horizon) + " = " + std::to_string(slots));
 }
 
 ReferenceCacheStats reference_cache_stats() {

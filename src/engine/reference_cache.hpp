@@ -15,6 +15,7 @@
 
 namespace ps::scheduling {
 class SchedulingInstance;
+struct RandomInstanceParams;
 }  // namespace ps::scheduling
 
 namespace ps::engine {
@@ -47,6 +48,12 @@ double power_opt_reference(const scheduling::SchedulingInstance& instance,
 /// in the message.
 Status check_brute_force_grid(const std::string& what, int processors,
                               int horizon);
+
+/// Usage error, naming the values, unless random_feasible_instance can draw
+/// from `gen`: jobs, processors, horizon and window_length at least 1, and
+/// no more jobs than the processors * horizon slots it plants them in. The
+/// Solver::check_params of every solver that generates feasible instances.
+Status check_feasible_generator(const scheduling::RandomInstanceParams& gen);
 
 struct ReferenceCacheStats {
   std::size_t hits = 0;

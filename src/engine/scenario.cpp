@@ -1,5 +1,6 @@
 #include "engine/scenario.hpp"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -29,10 +30,15 @@ std::uint64_t mix(std::uint64_t z) {
 
 }  // namespace
 
+char* format_param_to(char* out, double value) {
+  return std::to_chars(out, out + kMaxParamChars, value,
+                       std::chars_format::general, 17)
+      .ptr;
+}
+
 std::string format_param(double value) {
-  char buffer[40];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
-  return buffer;
+  char buffer[kMaxParamChars];
+  return std::string(buffer, format_param_to(buffer, value));
 }
 
 double ParamMap::get(const std::string& name, double fallback) const {
@@ -84,6 +90,29 @@ std::uint64_t derive_seed(std::uint64_t base_seed, const std::string& salt,
   const std::uint64_t words[2] = {base_seed, static_cast<std::uint64_t>(trial)};
   h = fnv1a(h, reinterpret_cast<const char*>(words), sizeof(words));
   return mix(h);
+}
+
+SeedStream::SeedStream(std::uint64_t base_seed, const std::string& salt,
+                       const ParamMap& params)
+    : base_seed_(base_seed) {
+  prefix_ = fnv1a(0xcbf29ce484222325ULL, salt);
+  prefix_ = fnv1a(prefix_, "|");
+  prefix_ = fnv1a(prefix_, params.signature());
+}
+
+std::uint64_t SeedStream::seed(int trial) const {
+  const std::uint64_t words[2] = {base_seed_,
+                                  static_cast<std::uint64_t>(trial)};
+  return mix(fnv1a(prefix_, reinterpret_cast<const char*>(words),
+                   sizeof(words)));
+}
+
+SeedStream ScenarioSpec::instance_seeds() const {
+  return SeedStream(seed, "", instance_params());
+}
+
+SeedStream ScenarioSpec::algo_seeds() const {
+  return SeedStream(seed, solver, params);
 }
 
 std::vector<ScenarioSpec> SweepPlan::expand() const {

@@ -12,6 +12,7 @@
 // per-instance ratio comparisons meaningful.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -50,6 +51,8 @@ class ParamMap {
   std::map<std::string, double> values_;
 };
 
+class SeedStream;
+
 /// One cell of a sweep: run `solver` for `trials` independent trials with
 /// the given generator/algorithm parameters.
 struct ScenarioSpec {
@@ -79,11 +82,26 @@ struct ScenarioSpec {
   /// Seed of trial `trial`'s algorithm stream (salted with the solver name
   /// and the full parameter bag).
   std::uint64_t algo_seed(int trial) const;
+
+  /// The same two streams for trial loops: built once per scenario, they
+  /// give instance_seed(t) and algo_seed(t) without re-rendering the
+  /// parameter signature per trial.
+  SeedStream instance_seeds() const;
+  SeedStream algo_seeds() const;
 };
 
+/// Longest format_param rendering ("-2.2250738585072014e-308").
+inline constexpr std::size_t kMaxParamChars = 24;
+
 /// Canonical %.17g rendering of a value — the round-trippable format used
-/// by parameter signatures and the sweep CSV cells.
+/// by parameter signatures, the sweep CSV cells and the cache files.
+/// std::to_chars(general, 17), which the standard defines as
+/// printf("%.17g"), without printf's format parsing and locale.
 std::string format_param(double value);
+
+/// format_param written to `out`, which must have room for kMaxParamChars
+/// characters, without allocating. Returns one past the last character.
+char* format_param_to(char* out, double value);
 
 /// Derives a per-trial RNG seed from the base seed, a salt (empty for the
 /// instance stream, the solver name for the algorithm stream), the parameter
@@ -91,6 +109,22 @@ std::string format_param(double value);
 /// trials get decorrelated streams.
 std::uint64_t derive_seed(std::uint64_t base_seed, const std::string& salt,
                           const ParamMap& params, int trial);
+
+/// derive_seed for one (base seed, salt, parameters) triple with the
+/// per-scenario part — salt, '|', the rendered signature — hashed once:
+/// seed(trial) equals derive_seed(base_seed, salt, params, trial) bit for
+/// bit, at the cost of hashing two words per trial.
+class SeedStream {
+ public:
+  SeedStream() = default;
+  SeedStream(std::uint64_t base_seed, const std::string& salt,
+             const ParamMap& params);
+  std::uint64_t seed(int trial) const;
+
+ private:
+  std::uint64_t base_seed_ = 0;
+  std::uint64_t prefix_ = 0;
+};
 
 /// One swept parameter: `name` takes each of `values` in turn.
 struct ParamAxis {

@@ -11,6 +11,7 @@
 #include "obs/time.hpp"
 #include "obs/trace.hpp"
 #include "util/csv.hpp"
+#include "util/file_io.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ps::engine {
@@ -216,9 +217,11 @@ ScenarioResult run_scenario_inline(const SolverRegistry& registry,
   }
   obs::TraceRecorder& recorder = obs::TraceRecorder::global();
   const bool tracing = recorder.active();
+  const SeedStream instance_seeds = spec.instance_seeds();
+  const SeedStream algo_seeds = spec.algo_seeds();
   for (int t = 0; t < trials; ++t) {
-    util::Rng instance_rng(spec.instance_seed(t));
-    util::Rng algo_rng(spec.algo_seed(t));
+    util::Rng instance_rng(instance_seeds.seed(t));
+    util::Rng algo_rng(algo_seeds.seed(t));
     TrialSlot& slot = slots[static_cast<std::size_t>(t)];
     const std::uint64_t cpu_start = metrics_on ? obs::thread_cpu_ns() : 0;
     const std::uint64_t start_ns = obs::now_ns();
@@ -291,6 +294,8 @@ std::vector<ScenarioResult> SweepRunner::run(
   // them in a fixed order, so statistics do not depend on thread count.
   std::vector<std::pair<std::size_t, int>> items;
   std::vector<std::vector<TrialSlot>> slots(scenarios.size());
+  std::vector<SeedStream> instance_seeds(scenarios.size());
+  std::vector<SeedStream> algo_seeds(scenarios.size());
   std::size_t scenarios_cache_served = 0;
   std::size_t scenarios_deduped = 0;
   for (std::size_t s = 0; s < scenarios.size(); ++s) {
@@ -304,6 +309,8 @@ std::vector<ScenarioResult> SweepRunner::run(
     }
     const int trials = scenarios[s].trials;
     slots[s].resize(static_cast<std::size_t>(trials > 0 ? trials : 0));
+    instance_seeds[s] = scenarios[s].instance_seeds();
+    algo_seeds[s] = scenarios[s].algo_seeds();
     for (int t = 0; t < trials; ++t) items.emplace_back(s, t);
   }
   const std::size_t scenarios_skipped =
@@ -352,8 +359,8 @@ std::vector<ScenarioResult> SweepRunner::run(
   pool.parallel_for(0, items.size(), [&](std::size_t idx) {
     const auto [s, t] = items[idx];
     const ScenarioSpec& spec = scenarios[s];
-    util::Rng instance_rng(spec.instance_seed(t));
-    util::Rng algo_rng(spec.algo_seed(t));
+    util::Rng instance_rng(instance_seeds[s].seed(t));
+    util::Rng algo_rng(algo_seeds[s].seed(t));
     TrialSlot& slot = slots[s][static_cast<std::size_t>(t)];
     const std::uint64_t cpu_start = metrics_on ? obs::thread_cpu_ns() : 0;
     const std::uint64_t start_ns = obs::now_ns();
@@ -615,33 +622,17 @@ std::vector<std::vector<std::string>> results_csv_rows(
 
 std::string results_csv_text(const std::vector<ScenarioResult>& results,
                              bool include_timing) {
-  std::string out;
-  for (const auto& row : results_csv_rows(results, include_timing)) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i) out += ',';
-      out += util::csv_escape(row[i]);
-    }
-    out += '\n';
-  }
-  return out;
+  return util::csv_text(results_csv_rows(results, include_timing));
 }
 
 bool write_results_csv(const std::vector<ScenarioResult>& results,
                        const std::string& path, bool include_timing) {
-  const auto rows = results_csv_rows(results, include_timing);
-  util::CsvWriter writer(path, rows.front());
-  if (!writer.ok()) {
-    std::fprintf(stderr, "sweep: cannot open CSV output file '%s'\n",
-                 path.c_str());
-    return false;
+  const Status status = util::write_file_if_changed(
+      path, results_csv_text(results, include_timing));
+  if (!status.ok()) {
+    std::fprintf(stderr, "sweep: %s\n", status.message().c_str());
   }
-  for (std::size_t i = 1; i < rows.size(); ++i) writer.write_row(rows[i]);
-  if (!writer.flush()) {
-    std::fprintf(stderr, "sweep: write to CSV output file '%s' failed\n",
-                 path.c_str());
-    return false;
-  }
-  return true;
+  return status.ok();
 }
 
 }  // namespace ps::engine

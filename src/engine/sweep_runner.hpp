@@ -203,15 +203,13 @@ util::Table results_table(const std::vector<ScenarioResult>& results,
                           bool include_timing = false);
 
 /// The aggregated CSV as cell rows — row 0 is the header — in exactly the
-/// schema docs/csv-schema.md specifies. write_results_csv and
-/// results_csv_text are both thin emitters over this, so a file written to
-/// disk and a string rendered in memory carry byte-identical content.
+/// schema docs/csv-schema.md specifies; results_csv_text joins them.
 std::vector<std::vector<std::string>> results_csv_rows(
     const std::vector<ScenarioResult>& results, bool include_timing = false);
 
 /// The aggregated CSV rendered to one string (RFC-4180 escaping, trailing
-/// newline) — byte-identical to the file write_results_csv produces. This is
-/// what lets the report sink render figures without a CSV file round-trip.
+/// newline) — the bytes write_results_csv puts in the file. This is what
+/// lets the report sink render figures without a CSV file round-trip.
 std::string results_csv_text(const std::vector<ScenarioResult>& results,
                              bool include_timing = false);
 
@@ -223,9 +221,10 @@ std::string results_csv_text(const std::vector<ScenarioResult>& results,
 /// builds produced. Deterministic for fixed scenarios (wall-time columns
 /// only with `include_timing`); statistics undefined for the trial count —
 /// the ci95 column, say, needs two samples — emit empty cells, never
-/// NaN. Returns false — after printing a diagnostic with the path to
-/// stderr — when the file cannot be opened; callers must treat that as
-/// fatal rather than shipping an empty results file.
+/// NaN. Written with util::write_file_if_changed: a file that already holds
+/// these bytes is left untouched. Returns false — after printing a
+/// diagnostic with the path to stderr — when the file cannot be written;
+/// callers must treat that as fatal rather than shipping no results file.
 bool write_results_csv(const std::vector<ScenarioResult>& results,
                        const std::string& path, bool include_timing = false);
 

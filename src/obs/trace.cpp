@@ -1,13 +1,13 @@
 #include "obs/trace.hpp"
 
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <thread>
 
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/time.hpp"
+#include "util/file_io.hpp"
 
 namespace ps::obs {
 
@@ -93,18 +93,7 @@ std::string TraceRecorder::chrome_trace_json() const {
 }
 
 ps::Status TraceRecorder::write(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return ps::Status::runtime("cannot open trace output file '" + path +
-                               "'");
-  }
-  out << chrome_trace_json();
-  out.flush();
-  if (!out) {
-    return ps::Status::runtime("write to trace output file '" + path +
-                               "' failed");
-  }
-  return ps::Status();
+  return util::write_file_if_changed(path, chrome_trace_json());
 }
 
 PhaseTimer::PhaseTimer(std::string name, std::string category)

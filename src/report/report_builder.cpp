@@ -2,13 +2,13 @@
 
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <vector>
 
 #include "engine/scenario.hpp"
 #include "report/svg_plot.hpp"
+#include "util/file_io.hpp"
 
 namespace ps::report {
 namespace {
@@ -120,14 +120,11 @@ bool resolve_column(const CsvTable& table, const std::string& name,
 
 bool write_text_file(const std::filesystem::path& path,
                      const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  out << content;
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "report: cannot write '%s'\n", path.string().c_str());
-    return false;
+  const Status status = util::write_file_if_changed(path.string(), content);
+  if (!status.ok()) {
+    std::fprintf(stderr, "report: %s\n", status.message().c_str());
   }
-  return true;
+  return status.ok();
 }
 
 }  // namespace

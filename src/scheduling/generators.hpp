@@ -34,6 +34,9 @@ SchedulingInstance random_instance(const RandomInstanceParams& params,
 
 /// Random instance that is guaranteed schedulable: first plants a feasible
 /// assignment (distinct slots), then adds windows around the planted slots.
+/// Requires positive sizes and num_jobs <= num_processors * horizon
+/// (asserted); front ends reject other parameters before any trial with
+/// engine::check_feasible_generator.
 SchedulingInstance random_feasible_instance(const RandomInstanceParams& params,
                                             util::Rng& rng);
 

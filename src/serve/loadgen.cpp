@@ -16,6 +16,7 @@
 #include "report/svg_plot.hpp"
 #include "serve/net.hpp"
 #include "serve/protocol.hpp"
+#include "util/file_io.hpp"
 #include "util/stats.hpp"
 
 namespace ps::serve {
@@ -36,18 +37,6 @@ std::string synthetic_id(int index) {
   char buffer[16];
   std::snprintf(buffer, sizeof(buffer), "r%06d", index + 1);
   return buffer;
-}
-
-bool write_text_file(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::fprintf(stderr, "loadgen: cannot open '%s' for writing\n",
-                 path.c_str());
-    return false;
-  }
-  out << text;
-  out.flush();
-  return out.good();
 }
 
 std::string latency_csv_text(const std::vector<RequestRow>& rows) {
@@ -105,10 +94,7 @@ Status render_latency_svg(const std::string& csv_text,
   if (svg.empty()) {
     return Status::runtime("loadgen: latency figure failed to render");
   }
-  if (!write_text_file(path, svg)) {
-    return Status::runtime("loadgen: cannot write '" + path + "'");
-  }
-  return Status();
+  return util::write_file_if_changed(path, svg);
 }
 
 }  // namespace
@@ -263,10 +249,12 @@ Status run_loadgen(const LoadgenOptions& options, LoadgenReport* report) {
   // Artifacts first, verdict second: a failed run must still leave the
   // evidence behind.
   const std::string csv_text = latency_csv_text(rows);
-  if (!options.latency_csv.empty() &&
-      !write_text_file(options.latency_csv, csv_text)) {
-    return Status::runtime("loadgen: cannot write '" + options.latency_csv +
-                           "'");
+  if (!options.latency_csv.empty()) {
+    if (Status status =
+            util::write_file_if_changed(options.latency_csv, csv_text);
+        !status.ok()) {
+      return status;
+    }
   }
   if (!options.summary_csv.empty()) {
     char buffer[256];
@@ -279,9 +267,9 @@ Status run_loadgen(const LoadgenOptions& options, LoadgenReport* report) {
         "requests,ok,failed,duration_s,throughput_rps,p50_ms,p95_ms,"
         "p99_ms\n" +
         std::string(buffer);
-    if (!write_text_file(options.summary_csv, text)) {
-      return Status::runtime("loadgen: cannot write '" +
-                             options.summary_csv + "'");
+    if (Status status = util::write_file_if_changed(options.summary_csv, text);
+        !status.ok()) {
+      return status;
     }
   }
   if (!options.latency_svg.empty()) {

@@ -1,19 +1,7 @@
 #include "util/csv.hpp"
 
-#include <cstdio>
-
 namespace ps::util {
-
-CsvWriter::CsvWriter(const std::string& path,
-                     const std::vector<std::string>& header)
-    : path_(path), out_(path) {
-  write_row(header);
-}
-
-bool CsvWriter::flush() {
-  if (out_) out_.flush();
-  return ok();
-}
+namespace {
 
 std::string csv_escape(const std::string& cell) {
   if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
@@ -26,28 +14,18 @@ std::string csv_escape(const std::string& cell) {
   return out;
 }
 
-std::string CsvWriter::escape(const std::string& cell) {
-  return csv_escape(cell);
-}
+}  // namespace
 
-void CsvWriter::write_row(const std::vector<std::string>& cells) {
-  if (!out_) return;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i) out_ << ',';
-    out_ << escape(cells[i]);
+std::string csv_text(const std::vector<std::vector<std::string>>& rows) {
+  std::string out;
+  for (const auto& row : rows) {
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      if (i) out += ',';
+      out += csv_escape(row[i]);
+    }
+    out += '\n';
   }
-  out_ << '\n';
-}
-
-void CsvWriter::write_row(const std::vector<double>& cells) {
-  if (!out_) return;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (i) out_ << ',';
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%.10g", cells[i]);
-    out_ << buf;
-  }
-  out_ << '\n';
+  return out;
 }
 
 }  // namespace ps::util

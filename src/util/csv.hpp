@@ -1,44 +1,16 @@
-// Minimal CSV emitter so experiments can dump machine-readable series next to
-// the human-readable tables (e.g. for plotting the reproduced figures).
+// Minimal CSV rendering so experiments can dump machine-readable series next
+// to the human-readable tables (e.g. for plotting the reproduced figures).
 #pragma once
 
-#include <fstream>
 #include <string>
 #include <vector>
 
 namespace ps::util {
 
-/// RFC-4180 quoting of one cell: returned verbatim unless it contains a
-/// comma, quote, or newline, in which case it is quoted with `""` escapes.
-/// The one escaping rule shared by CsvWriter and the in-memory CSV
-/// renderers, so file-written and string-rendered CSV are byte-identical.
-std::string csv_escape(const std::string& cell);
-
-/// Writes rows to a CSV file with RFC-4180 quoting of cells that need it.
-class CsvWriter {
- public:
-  /// Opens `path` for writing and emits the header row. ok() reports whether
-  /// the file opened and every write so far succeeded; writes on a failed
-  /// writer are dropped, so callers producing result files must check ok()
-  /// and fail loudly (path() names the file for the error message).
-  CsvWriter(const std::string& path, const std::vector<std::string>& header);
-
-  bool ok() const { return static_cast<bool>(out_); }
-  const std::string& path() const { return path_; }
-
-  /// Flushes buffered rows and reports whether everything reached the file.
-  /// Call before trusting ok(): without it a failed flush at destruction
-  /// (e.g. disk full) would go undetected.
-  bool flush();
-
-  void write_row(const std::vector<std::string>& cells);
-  /// Convenience overload for purely numeric rows.
-  void write_row(const std::vector<double>& cells);
-
- private:
-  static std::string escape(const std::string& cell);
-  std::string path_;
-  std::ofstream out_;
-};
+/// `rows` as CSV text: cells joined by commas, every row ending in '\n',
+/// and RFC-4180 quoting of a cell that contains a comma, quote or newline
+/// (quoted, with `""` escapes). The one renderer behind the sweep CSV and
+/// Table::write_csv.
+std::string csv_text(const std::vector<std::vector<std::string>>& rows);
 
 }  // namespace ps::util

@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "util/csv.hpp"
+#include "util/file_io.hpp"
 
 namespace ps::util {
 
@@ -75,14 +76,13 @@ bool Table::print() const {
 }
 
 bool Table::write_csv(const std::string& path) const {
-  CsvWriter writer(path, header_);
-  for (const auto& row : rows_) writer.write_row(row);
-  if (!writer.flush()) {
-    std::fprintf(stderr, "table: FAILED to write CSV '%s'\n",
-                 writer.path().c_str());
-    return false;
+  const Status status =
+      write_file_if_changed(path, csv_text({header_}) + csv_text(rows_));
+  if (!status.ok()) {
+    std::fprintf(stderr, "table: FAILED to write CSV: %s\n",
+                 status.message().c_str());
   }
-  return true;
+  return status.ok();
 }
 
 std::string Table::slugify(const std::string& text) {

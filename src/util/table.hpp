@@ -40,9 +40,9 @@ class Table {
   /// reporting success over a missing file.
   bool print() const;
 
-  /// Writes the table as CSV (header + rows) to `path`. Returns false —
-  /// after a loud diagnostic naming the path on stderr — when the file
-  /// cannot be opened or written.
+  /// Writes the table as CSV (header + rows) to `path` with
+  /// write_file_if_changed. Returns false — after a loud diagnostic naming
+  /// the path on stderr — when the file cannot be written.
   bool write_csv(const std::string& path) const;
 
   /// "E1: approximation ratio vs n" -> "e1-approximation-ratio-vs-n".

@@ -14,6 +14,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "engine/bench_presets.hpp"
@@ -667,6 +668,33 @@ TEST(CacheStoreV2, GarbageSamplesFailClosed) {
   EXPECT_FALSE(ScenarioCacheStore(path).load(cache));
   EXPECT_EQ(cache.size(), 0u);
   std::remove(path.c_str());
+}
+
+TEST(CacheStoreV2, TokensTheWriterNeverEmitsFailClosed) {
+  // The loader reads numbers with std::from_chars over whole tokens: what
+  // strtod/strtoull also took — a leading '+', hex, a negative count, a
+  // value outside double's range — is not the writer's grammar and fails.
+  const std::pair<const char*, const char*> mutations[] = {
+      {"\nparam alpha 2\n", "\nparam alpha +2\n"},
+      {"\nparam alpha 2\n", "\nparam alpha 0x1p1\n"},
+      {"\nparam alpha 2\n", "\nparam alpha 1e400\n"},
+      {"\nparam alpha 2\n", "\nparam alpha -1e400\n"},
+      {"\nparam alpha 2\n", "\nparam alpha 2x\n"},
+      {"\nsamples objective 4 ", "\nsamples objective 4 +"},
+      {"\nsamples objective 4 ", "\nsamples objective +4 "},
+      {"\ntrials 4\n", "\ntrials +4\n"},
+      {"\nseed 777\n", "\nseed 0x309\n"},
+      {"\naggregate 4 ", "\naggregate -4 "},
+  };
+  for (const auto& [from, to] : mutations) {
+    const std::string path = temp_path("strict_tokens.cache");
+    write_tails_cache(path);
+    mutate_file(path, from, to);
+    ScenarioCache cache;
+    EXPECT_FALSE(ScenarioCacheStore(path).load(cache)) << to;
+    EXPECT_EQ(cache.size(), 0u) << to;
+    std::remove(path.c_str());
+  }
 }
 
 TEST(CacheStoreV2, SampleBlockWithoutDeclaredFlagFailsClosed) {

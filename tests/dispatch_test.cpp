@@ -1,12 +1,16 @@
 // Tests for ps::dispatch: the fingerprint is stable on an unchanged tree,
 // order-independent over its file set, and sensitive to any solver-source
 // edit; the Dispatcher's retry path turns injected shard failures into the
-// byte-identical merged output of an unsharded run; and a warm rerun
-// against a matching manifest reuses every shard without running a trial.
+// byte-identical merged output of an unsharded run; a warm rerun against a
+// matching manifest reuses every shard without running a trial, and leaves
+// every output file it would rewrite with the same bytes untouched.
 #include <gtest/gtest.h>
+#include <fcntl.h>
+#include <sys/stat.h>
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -209,6 +213,87 @@ TEST(Dispatcher, WarmRerunReusesEveryShardAndRunsNothing) {
   EXPECT_EQ(report.reused, 3u);
   EXPECT_EQ(report.launched, 0u);  // zero sessions, zero trials
   EXPECT_EQ(read_file(csv_path), reference);
+}
+
+/// Bytes, inode and mtime of one output file.
+struct FileState {
+  std::string bytes;
+  ino_t inode = 0;
+  struct timespec mtime = {0, 0};
+};
+
+FileState file_state(const std::string& path) {
+  FileState state;
+  struct stat st;
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  state.bytes = read_file(path);
+  state.inode = st.st_ino;
+  state.mtime = st.st_mtim;
+  return state;
+}
+
+/// Back-dates `path`, so any rewrite shows in its mtime even on a coarse
+/// clock.
+void backdate(const std::string& path) {
+  const struct timespec old_times[2] = {{1000000000, 0}, {1000000000, 0}};
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), old_times, 0), 0) << path;
+}
+
+TEST(Dispatcher, WarmRerunLeavesEveryOutputUntouched) {
+  const std::string artifact_dir = fresh_artifact_dir("untouched_artifacts");
+  const std::string report_dir = fresh_artifact_dir("untouched_report");
+  const std::string csv_path = temp_path("untouched.csv");
+  std::filesystem::remove(csv_path);
+  auto dispatch = [&](std::uint64_t seed) {
+    DispatchConfig config;
+    config.base = e15_base();
+    config.base.seed = seed;
+    config.base.seed_given = true;
+    config.shards = 2;
+    config.artifact_dir = artifact_dir;
+    config.source_root = POWERSCHED_SOURCE_DIR;
+    config.retry.initial_backoff_ms = 1;
+    Dispatcher dispatcher(std::move(config));
+    dispatcher.add_sink(std::make_unique<engine::CsvSink>(csv_path));
+    dispatcher.add_sink(std::make_unique<engine::SvgReportSink>(report_dir));
+    DispatchReport report;
+    EXPECT_TRUE(dispatcher.run(&report).ok());
+    return report;
+  };
+
+  ASSERT_EQ(dispatch(1).launched, 2u);
+  std::vector<std::string> outputs = {csv_path,
+                                      artifact_dir + "/manifest.txt"};
+  for (const auto& entry : std::filesystem::directory_iterator(report_dir)) {
+    outputs.push_back(entry.path().string());
+  }
+  ASSERT_GE(outputs.size(), 4u) << "expected the .md and at least one SVG";
+  std::map<std::string, FileState> before;
+  for (const std::string& path : outputs) {
+    backdate(path);
+    before[path] = file_state(path);
+  }
+
+  const DispatchReport warm = dispatch(1);
+  EXPECT_EQ(warm.reused, 2u);
+  EXPECT_EQ(warm.launched, 0u);
+  for (const std::string& path : outputs) {
+    const FileState after = file_state(path);
+    EXPECT_EQ(after.bytes, before[path].bytes) << path;
+    EXPECT_EQ(after.inode, before[path].inode) << path;
+    EXPECT_EQ(after.mtime.tv_sec, 1000000000) << path;
+  }
+
+  // Another seed is another plan: every shard reruns and the outputs whose
+  // bytes change are replaced.
+  EXPECT_EQ(dispatch(2).launched, 2u);
+  const std::string markdown = report_dir + "/e15.md";
+  for (const std::string& path :
+       {csv_path, artifact_dir + "/manifest.txt", markdown}) {
+    const FileState after = file_state(path);
+    EXPECT_NE(after.bytes, before[path].bytes) << path;
+    EXPECT_NE(after.mtime.tv_sec, 1000000000) << path;
+  }
 }
 
 TEST(Dispatcher, PlanChangeInvalidatesTheManifest) {

@@ -8,16 +8,23 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
+#include "engine/bench_presets.hpp"
 #include "engine/reference_cache.hpp"
 #include "engine/registry.hpp"
 #include "engine/scenario.hpp"
 #include "engine/sweep_runner.hpp"
 #include "obs/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace ps::engine {
 namespace {
@@ -59,6 +66,65 @@ TEST(DeriveSeed, VariesByTrialSaltAndParams) {
   EXPECT_NE(base, derive_seed(1, "solver", params, 0));
   ParamMap other{{"n", 11.0}};
   EXPECT_NE(base, derive_seed(1, "", other, 0));
+}
+
+/// The reference rendering format_param must reproduce byte for byte.
+std::string printf_g17(double value) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof(buffer), "%.17g", value);
+  return buffer;
+}
+
+TEST(FormatParam, EqualsPrintfG17OnEdgeValuesAndRandomBitPatterns) {
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 1e21, 1e-5, 123456789.0,
+      DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX, DBL_TRUE_MIN, -DBL_TRUE_MIN,
+      DBL_MIN / 3.0, std::nextafter(DBL_MIN, 0.0),
+      9007199254740992.0, 9007199254740991.0, -9007199254740992.0,
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  for (double v = 1.0; v <= 9007199254740992.0; v *= 2.0) {
+    values.push_back(v);      // powers of two up to 2^53
+    values.push_back(v - 1);  // and the all-ones integers below them
+  }
+  util::Rng rng(20240517);
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t bits = rng();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    values.push_back(v);
+  }
+  for (double v : values) {
+    const std::string expected = printf_g17(v);
+    ASSERT_EQ(format_param(v), expected);
+    char buffer[kMaxParamChars];
+    ASSERT_EQ(std::string(buffer, format_param_to(buffer, v)), expected);
+  }
+}
+
+TEST(SeedStream, EqualsDeriveSeedForEveryPresetScenario) {
+  std::size_t with_algo_params = 0;
+  for (const BenchPreset& preset : bench_presets()) {
+    for (const PresetSweep& sweep : preset.sweeps) {
+      for (const ScenarioSpec& spec : sweep.plan.expand()) {
+        if (!spec.algo_params.empty()) ++with_algo_params;
+        const SeedStream instance = spec.instance_seeds();
+        const SeedStream algo = spec.algo_seeds();
+        const ParamMap instance_params = spec.instance_params();
+        for (int t = 0; t < 1000; ++t) {
+          ASSERT_EQ(instance.seed(t),
+                    derive_seed(spec.seed, "", instance_params, t))
+              << spec.label() << " trial " << t;
+          ASSERT_EQ(algo.seed(t), derive_seed(spec.seed, spec.solver,
+                                              spec.params, t))
+              << spec.label() << " trial " << t;
+        }
+      }
+    }
+  }
+  EXPECT_GT(with_algo_params, 0u) << "no preset exercises algo_params";
 }
 
 TEST(ParamMap, WithoutStripsNames) {

@@ -219,6 +219,41 @@ TEST(SolveService, BruteForceReferencesOutsideTheSlotCeilingAreUsage) {
   EXPECT_TRUE(service.solve(request, response).ok());
 }
 
+TEST(SolveService, GeneratorRequestsTheGeneratorCannotDrawAreUsage) {
+  const engine::SolveService service;
+  engine::SolveResponse response;
+
+  // More jobs than the 2 x 12 slots a feasible instance plants them in.
+  engine::SolveRequest request = generator_request("crowded");
+  request.params.set("jobs", 25.0);
+  Status status = service.solve(request, response);
+  EXPECT_EQ(status.code(), Status::Code::kUsage);
+  EXPECT_NE(status.message().find("jobs = 25 exceeds processors * horizon = "
+                                  "2 * 12 = 24"),
+            std::string::npos)
+      << status.message();
+
+  // Sizes below 1, for the power and the prize generators alike.
+  for (const char* solver : {"power.greedy", "prize.bicriteria"}) {
+    for (const char* size : {"jobs", "processors", "horizon"}) {
+      request = generator_request("empty");
+      request.solver = solver;
+      request.params.set(size, 0.0);
+      status = service.solve(request, response);
+      EXPECT_EQ(status.code(), Status::Code::kUsage) << solver << " " << size;
+      EXPECT_NE(status.message().find(std::string(size) + " = 0"),
+                std::string::npos)
+          << status.message();
+    }
+  }
+
+  // Exactly one job per slot is drawable.
+  request = generator_request("full");
+  request.params.set("jobs", 24.0);
+  status = service.solve(request, response);
+  EXPECT_TRUE(status.ok()) << status.message();
+}
+
 // ---------------------------------------------------------------------------
 // Wire schema.
 

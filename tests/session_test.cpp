@@ -355,6 +355,27 @@ TEST(SessionStatus, AdHocValidation) {
           << status.message();
     }
   }
+  {  // a grid point with more jobs than its processors * horizon slots, and
+     // one with an empty grid, for the power and prize generators
+    for (const char* solver : {"power.per_job", "prize.value_floor"}) {
+      RunConfig config;
+      config.plan.solvers = {solver};
+      config.plan.base_params = {{"processors", 2.0}, {"horizon", 3.0}};
+      config.plan.axes = {{"jobs", {4, 7}}};
+      Status status = Session(config).run();
+      EXPECT_EQ(status.code(), Status::Code::kUsage) << solver;
+      EXPECT_NE(status.message().find("jobs = 7 exceeds processors * horizon "
+                                      "= 2 * 3 = 6"),
+                std::string::npos)
+          << status.message();
+
+      config.plan.axes = {{"processors", {0, 1}}};
+      status = Session(std::move(config)).run();
+      EXPECT_EQ(status.code(), Status::Code::kUsage) << solver;
+      EXPECT_NE(status.message().find("processors = 0"), std::string::npos)
+          << status.message();
+    }
+  }
 }
 
 TEST(SessionStatus, MissingMergeInputIsRuntime) {

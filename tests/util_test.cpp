@@ -1,6 +1,10 @@
 // Unit tests for src/util: RNG distributions and determinism, thread pool,
-// statistics accumulators, table and CSV formatting.
+// statistics accumulators, table and CSV formatting, and the output-file
+// writer.
 #include <gtest/gtest.h>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -9,13 +13,16 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <mutex>
 #include <set>
 #include <utility>
 #include <vector>
 
 #include "util/csv.hpp"
+#include "util/file_io.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -388,23 +395,9 @@ TEST(Table, PrintDumpsCsvWhenEnvSet) {
   std::remove((dir + "/env-test-7.csv").c_str());
 }
 
-TEST(Csv, WritesQuotedCells) {
-  const std::string path = testing::TempDir() + "/ps_csv_test.csv";
-  {
-    CsvWriter w(path, {"a", "b"});
-    ASSERT_TRUE(w.ok());
-    w.write_row(std::vector<std::string>{"x,y", "plain"});
-    w.write_row(std::vector<double>{1.5, 2.0});
-  }
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "a,b");
-  std::getline(in, line);
-  EXPECT_EQ(line, "\"x,y\",plain");
-  std::getline(in, line);
-  EXPECT_EQ(line, "1.5,2");
-  std::remove(path.c_str());
+TEST(Csv, QuotesCellsThatNeedIt) {
+  EXPECT_EQ(csv_text({{"a", "b"}, {"x,y", "plain"}, {"say \"hi\"", "1\n2"}}),
+            "a,b\n\"x,y\",plain\n\"say \"\"hi\"\"\",\"1\n2\"\n");
 }
 
 TEST(Accumulator, StateRoundTripIsBitIdentical) {
@@ -493,6 +486,120 @@ TEST(Timer, MeasuresNonNegative) {
   EXPECT_GE(t.seconds(), 0.0);
   t.reset();
   EXPECT_GE(t.milliseconds(), 0.0);
+}
+
+// --- write_file_if_changed ------------------------------------------------
+
+/// A fresh, empty scratch directory per test.
+std::string fresh_dir(const std::string& name) {
+  const std::string dir = testing::TempDir() + "ps_write_file_" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+std::size_t entries_in(const std::string& dir) {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(WriteFileIfChanged, IdenticalRewriteKeepsInodeAndMtime) {
+  const std::string dir = fresh_dir("identical");
+  const std::string path = dir + "/out.txt";
+  const std::string bytes(100000, 'x');  // spans several compare chunks
+  ASSERT_TRUE(write_file_if_changed(path, bytes).ok());
+  // Back-date the file, so a rewrite would show even on a coarse clock.
+  const struct timespec old_times[2] = {{1000000000, 0}, {1000000000, 0}};
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), old_times, 0), 0);
+  struct stat before;
+  ASSERT_EQ(::stat(path.c_str(), &before), 0);
+
+  ASSERT_TRUE(write_file_if_changed(path, bytes).ok());
+  struct stat after;
+  ASSERT_EQ(::stat(path.c_str(), &after), 0);
+  EXPECT_EQ(after.st_ino, before.st_ino);
+  EXPECT_EQ(after.st_mtim.tv_sec, 1000000000);
+  EXPECT_EQ(after.st_mtim.tv_nsec, 0);
+  EXPECT_EQ(slurp(path), bytes);
+  EXPECT_EQ(entries_in(dir), 1u);
+}
+
+TEST(WriteFileIfChanged, ChangedLongerShorterAndMissingFilesAreReplaced) {
+  const std::string dir = fresh_dir("replaced");
+  const std::string path = dir + "/out.txt";
+  std::string bytes(70000, 'a');
+  // Missing, then the same size with the last byte changed, longer, shorter
+  // and empty.
+  std::string same_size = bytes;
+  same_size.back() = 'b';
+  for (const std::string& next :
+       {bytes, same_size, same_size + "tail", std::string("short"),
+        std::string()}) {
+    ASSERT_TRUE(write_file_if_changed(path, next).ok());
+    EXPECT_EQ(slurp(path), next);
+    EXPECT_EQ(entries_in(dir), 1u) << "a temp file was left behind";
+  }
+}
+
+TEST(WriteFileIfChanged, SymlinksAndDevicesAreWrittenThrough) {
+  const std::string dir = fresh_dir("through");
+  const std::string target = dir + "/target.txt";
+  const std::string link = dir + "/link.txt";
+  std::ofstream(target) << "old\n";
+  ASSERT_EQ(::symlink(target.c_str(), link.c_str()), 0);
+  ASSERT_TRUE(write_file_if_changed(link, "new\n").ok());
+  EXPECT_TRUE(std::filesystem::is_symlink(link));
+  EXPECT_EQ(slurp(target), "new\n");
+  // A device behind the path (`--csv /dev/stdout`): a rename would put a
+  // regular file in place of the node.
+  const std::string device = dir + "/null";
+  ASSERT_EQ(::symlink("/dev/null", device.c_str()), 0);
+  EXPECT_TRUE(write_file_if_changed(device, "discarded").ok());
+  EXPECT_TRUE(std::filesystem::is_symlink(device));
+  EXPECT_EQ(entries_in(dir), 3u) << "a temp file was left behind";
+}
+
+TEST(WriteFileIfChanged, DirectoryAtThePathFailsLoudly) {
+  const std::string dir = fresh_dir("directory");
+  const std::string path = dir + "/taken";
+  std::filesystem::create_directory(path);
+  const Status status = write_file_if_changed(path, "bytes");
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), Status::Code::kRuntime);
+  EXPECT_NE(status.message().find(path), std::string::npos)
+      << status.message();
+  EXPECT_TRUE(std::filesystem::is_directory(path));
+  EXPECT_EQ(entries_in(dir), 1u) << "a temp file was left behind";
+}
+
+TEST(WriteFileIfChanged, UnwritableDirectoryFailsLoudly) {
+  const std::string dir = fresh_dir("unwritable");
+  // A regular file as a path component fails for every user, root included.
+  const std::string blocker = dir + "/blocker";
+  std::ofstream(blocker) << "not a directory\n";
+  const std::string path = blocker + "/out.txt";
+  const Status status = write_file_if_changed(path, "bytes");
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find(path), std::string::npos)
+      << status.message();
+  if (::geteuid() != 0) {
+    // Root bypasses permission bits, so this leg would be vacuous there.
+    const std::string readonly = dir + "/readonly";
+    ASSERT_EQ(::mkdir(readonly.c_str(), 0500), 0);
+    EXPECT_FALSE(write_file_if_changed(readonly + "/out.txt", "bytes").ok());
+    ::chmod(readonly.c_str(), 0700);
+  }
 }
 
 }  // namespace
