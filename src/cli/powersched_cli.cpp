@@ -760,8 +760,11 @@ std::string cli_reference_markdown() {
       "the bench\nsnapshot, the dispatch manifest, loadgen's CSVs and SVG) are "
       "written only\nwhen their bytes change: a rerun that reproduces a file "
       "leaves it alone,\ninode and mtime included. A changed file is replaced "
-      "atomically (temp file\nin the same directory, then rename); a symlink, "
-      "device or FIFO at the path\nis written through in place.\n";
+      "atomically (temp file\nin the same directory, then rename), so the "
+      "directory must be writable;\nthe new file keeps the old one's "
+      "permission bits, is owned by the writer,\nand hard links to the old "
+      "file keep the old bytes. A symlink, device or\nFIFO at the path is "
+      "written through in place.\n";
   for (const auto& spec : commands()) {
     out += "\n## powersched ";
     out += spec.name;

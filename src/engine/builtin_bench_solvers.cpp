@@ -99,6 +99,11 @@
 //       lazy_greedy, power_sched. objective = the primitive's output (a
 //       determinism check); timing comes from the runner's wall clock.
 //
+// ablation.incremental_matching, ablation.parallel_greedy,
+// ablation.candidate_pruning and micro.power_sched draw feasible instances
+// and, like power.* and prize.*, reject sizes below 1 and more jobs than
+// processors * horizon before any trial.
+//
 // All instance material is drawn from the instance RNG; only algorithm
 // coins come from the algorithm RNG. Expensive comparators (brute force,
 // exhaustive enumeration, offline greedy shared across solvers) go through
@@ -160,6 +165,38 @@ std::string reference_key(const char* tag, const ParamMap& params,
          "|" + std::to_string(fingerprint);
 }
 
+/// Request defaults of a solver that draws random_feasible_instance;
+/// horizon 0 means 2 * jobs.
+struct FeasibleDefaults {
+  int jobs;
+  int processors;
+  int horizon;
+  int window_length;
+};
+
+scheduling::RandomInstanceParams feasible_params(const ParamMap& params,
+                                                 const FeasibleDefaults& d) {
+  scheduling::RandomInstanceParams gen;
+  gen.num_jobs = params.get_int("jobs", d.jobs);
+  gen.num_processors = params.get_int("processors", d.processors);
+  gen.horizon =
+      params.get_int("horizon", d.horizon > 0 ? d.horizon : 2 * gen.num_jobs);
+  gen.window_length = params.get_int("window_length", d.window_length);
+  return gen;
+}
+
+/// The Solver::check_params of a solver drawing from feasible_params(d).
+FunctionSolver::CheckFn check_feasible(FeasibleDefaults d) {
+  return [d](const ParamMap& params) {
+    return check_feasible_generator(feasible_params(params, d));
+  };
+}
+
+constexpr FeasibleDefaults kIncrementalMatching{16, 3, 0, 4};
+constexpr FeasibleDefaults kParallelGreedy{40, 3, 60, 5};
+constexpr FeasibleDefaults kCandidatePruning{20, 3, 24, 4};
+constexpr FeasibleDefaults kMicroPowerSched{16, 2, 0, 4};
+
 // ---------------------------------------------------------------------------
 // ablation.*: the A1-A4 ablations
 
@@ -212,11 +249,7 @@ void register_ablation(SolverRegistry& registry) {
   registry.add_fn("ablation.incremental_matching", [](const ParamMap& params,
                                                       util::Rng& instance_rng,
                                                       util::Rng&) {
-    scheduling::RandomInstanceParams gen;
-    gen.num_jobs = params.get_int("jobs", 16);
-    gen.num_processors = params.get_int("processors", 3);
-    gen.horizon = params.get_int("horizon", 2 * gen.num_jobs);
-    gen.window_length = params.get_int("window_length", 4);
+    const auto gen = feasible_params(params, kIncrementalMatching);
     const auto instance = scheduling::random_feasible_instance(gen,
                                                                instance_rng);
     const scheduling::RestartCostModel model(params.get("alpha", 2.0));
@@ -256,16 +289,12 @@ void register_ablation(SolverRegistry& registry) {
     out.set_metric("candidates",
                    static_cast<double>(incremental.num_candidates));
     return out;
-  });
+  }, check_feasible(kIncrementalMatching));
 
   registry.add_fn("ablation.parallel_greedy", [](const ParamMap& params,
                                                  util::Rng& instance_rng,
                                                  util::Rng&) {
-    scheduling::RandomInstanceParams gen;
-    gen.num_jobs = params.get_int("jobs", 40);
-    gen.num_processors = params.get_int("processors", 3);
-    gen.horizon = params.get_int("horizon", 60);
-    gen.window_length = params.get_int("window_length", 5);
+    const auto gen = feasible_params(params, kParallelGreedy);
     const auto instance = scheduling::random_feasible_instance(gen,
                                                                instance_rng);
     const scheduling::RestartCostModel model(params.get("alpha", 2.0));
@@ -292,16 +321,12 @@ void register_ablation(SolverRegistry& registry) {
     out.set_metric("sweep_ms", ms);
     out.set_metric("candidates", static_cast<double>(pool.candidates.size()));
     return out;
-  });
+  }, check_feasible(kParallelGreedy));
 
   registry.add_fn("ablation.candidate_pruning", [](const ParamMap& params,
                                                    util::Rng& instance_rng,
                                                    util::Rng&) {
-    scheduling::RandomInstanceParams gen;
-    gen.num_jobs = params.get_int("jobs", 20);
-    gen.num_processors = params.get_int("processors", 3);
-    gen.horizon = params.get_int("horizon", 24);
-    gen.window_length = params.get_int("window_length", 4);
+    const auto gen = feasible_params(params, kCandidatePruning);
     const auto instance = scheduling::random_feasible_instance(gen,
                                                                instance_rng);
 
@@ -354,7 +379,7 @@ void register_ablation(SolverRegistry& registry) {
     out.set_metric("ms_before", before.second);
     out.set_metric("ms_after", after.second);
     return out;
-  });
+  }, check_feasible(kCandidatePruning));
 }
 
 // ---------------------------------------------------------------------------
@@ -1112,11 +1137,7 @@ void register_micro(SolverRegistry& registry) {
   registry.add_fn("micro.power_sched", [](const ParamMap& params,
                                           util::Rng& instance_rng,
                                           util::Rng&) {
-    scheduling::RandomInstanceParams gen;
-    gen.num_jobs = params.get_int("jobs", 16);
-    gen.num_processors = params.get_int("processors", 2);
-    gen.horizon = params.get_int("horizon", 2 * gen.num_jobs);
-    gen.window_length = params.get_int("window_length", 4);
+    const auto gen = feasible_params(params, kMicroPowerSched);
     const auto instance = scheduling::random_feasible_instance(gen,
                                                                instance_rng);
     const scheduling::RestartCostModel model(2.0);
@@ -1126,7 +1147,7 @@ void register_micro(SolverRegistry& registry) {
     out.oracle_calls = static_cast<double>(result.gain_evaluations);
     out.feasible = result.feasible;
     return out;
-  });
+  }, check_feasible(kMicroPowerSched));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cinttypes>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -108,42 +109,19 @@ bool parse_accumulator_state(Fields& in, util::Accumulator::State& state) {
          in.next_number(state.max) && in.next_number(state.sum);
 }
 
-/// Cache-file output through stdio's buffer. Numbers are formatted into a
-/// small stack buffer, so a save builds no per-value and no whole-file
-/// string; a failed write shows in the stream's error flag.
-class LineWriter {
- public:
-  explicit LineWriter(std::FILE* file) : file_(file) {}
+/// Writes ' ' and then `value` as format_param renders it, through a stack
+/// buffer: a save builds no per-value and no whole-file string.
+void put_field(std::FILE* out, double value) {
+  char text[1 + kMaxParamChars] = {' '};
+  std::fwrite(text, 1, format_param_to(text + 1, value) - text, out);
+}
 
-  LineWriter& operator<<(std::string_view text) {
-    std::fwrite(text.data(), 1, text.size(), file_);
-    return *this;
-  }
-  LineWriter& operator<<(char ch) {
-    std::fputc(ch, file_);
-    return *this;
-  }
-  LineWriter& operator<<(int value) { return put_integer(value); }
-  LineWriter& operator<<(std::uint64_t value) { return put_integer(value); }
-  LineWriter& operator<<(double value) {
-    char text[kMaxParamChars];
-    return *this << std::string_view(text, format_param_to(text, value) - text);
-  }
- private:
-  template <typename Int>
-  LineWriter& put_integer(Int value) {
-    char text[24];
-    const char* end = std::to_chars(text, text + sizeof(text), value).ptr;
-    return *this << std::string_view(text, end - text);
-  }
-
-  std::FILE* file_;
-};
-
-void write_accumulator_state(LineWriter& out, const util::Accumulator& acc) {
+void write_accumulator_state(std::FILE* out, const util::Accumulator& acc) {
   const util::Accumulator::State state = acc.state();
-  out << std::uint64_t{state.count} << ' ' << state.mean << ' ' << state.m2
-      << ' ' << state.min << ' ' << state.max << ' ' << state.sum;
+  std::fprintf(out, "%zu", state.count);
+  for (double v : {state.mean, state.m2, state.min, state.max, state.sum}) {
+    put_field(out, v);
+  }
 }
 
 /// The five core accumulators, in fixed file order.
@@ -160,13 +138,13 @@ constexpr const char* kSampledAccumulators[] = {"objective", "ratio", "cost",
 /// retained readings in ascending order (sorted_samples() — the canonical
 /// deterministic order, so the emitted bytes never depend on whether a
 /// percentile was computed before the save).
-void write_samples_line(LineWriter& out, const char* keyword,
+void write_samples_line(std::FILE* out, const char* keyword,
                         const std::string& name,
                         const util::Accumulator& acc) {
   const std::vector<double>& sorted = acc.sorted_samples();
-  out << keyword << ' ' << name << ' ' << std::uint64_t{sorted.size()};
-  for (double v : sorted) out << ' ' << v;
-  out << '\n';
+  std::fprintf(out, "%s %s %zu", keyword, name.c_str(), sorted.size());
+  for (double v : sorted) put_field(out, v);
+  std::fputc('\n', out);
 }
 
 /// Whether every sample-bearing accumulator of `result` retained its
@@ -452,9 +430,8 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
 bool ScenarioCacheStore::save(const ScenarioCache& cache) const {
   const obs::StopWatch watch;
   std::size_t entries_saved = 0;
-  const Status status = util::replace_file(path_, [&](std::FILE* file) {
-    LineWriter out(file);
-    out << kScenarioCacheFormatHeader << '\n';
+  const Status status = util::replace_file(path_, [&](std::FILE* out) {
+    std::fprintf(out, "%s\n", kScenarioCacheFormatHeader);
     for (const auto& [key, result] : cache.snapshot()) {
       const ScenarioSpec& spec = result->spec;
       bool names_ok = plain_token(spec.solver);
@@ -475,26 +452,26 @@ bool ScenarioCacheStore::save(const ScenarioCache& cache) const {
         return false;
       }
 
-      out << "scenario " << spec.solver << '\n';
-      out << "trials " << spec.trials << '\n';
-      out << "seed " << std::uint64_t{spec.seed} << '\n';
+      std::fprintf(out, "scenario %s\ntrials %d\nseed %" PRIu64 "\n",
+                   spec.solver.c_str(), spec.trials, spec.seed);
       for (const auto& [name, value] : spec.params.values()) {
-        out << "param " << name << ' ' << value << '\n';
+        std::fprintf(out, "param %s", name.c_str());
+        put_field(out, value);
+        std::fputc('\n', out);
       }
       for (const auto& name : spec.algo_params) {
-        out << "algo_param " << name << '\n';
+        std::fprintf(out, "algo_param %s\n", name.c_str());
       }
       const bool with_samples = all_samples_kept(*result);
-      out << "aggregate " << std::uint64_t{result->trials_run} << ' '
-          << std::uint64_t{result->infeasible} << ' ' << (with_samples ? 1 : 0)
-          << '\n';
+      std::fprintf(out, "aggregate %zu %zu %d\n", result->trials_run,
+                   result->infeasible, with_samples ? 1 : 0);
       const util::Accumulator* const core[] = {
           &result->objective, &result->ratio, &result->cost,
           &result->oracle_calls, &result->wall_ms};
       for (std::size_t i = 0; i < std::size(kCoreAccumulators); ++i) {
-        out << "acc " << kCoreAccumulators[i] << ' ';
+        std::fprintf(out, "acc %s ", kCoreAccumulators[i]);
         write_accumulator_state(out, *core[i]);
-        out << '\n';
+        std::fputc('\n', out);
       }
       if (with_samples) {
         for (std::size_t i = 0; i < std::size(kSampledAccumulators); ++i) {
@@ -502,16 +479,16 @@ bool ScenarioCacheStore::save(const ScenarioCache& cache) const {
         }
       }
       for (const auto& [name, acc] : result->metrics) {
-        out << "metric " << name << ' ';
+        std::fprintf(out, "metric %s ", name.c_str());
         write_accumulator_state(out, acc);
-        out << '\n';
+        std::fputc('\n', out);
       }
       if (with_samples) {
         for (const auto& [name, acc] : result->metrics) {
           write_samples_line(out, "metric_samples", name, acc);
         }
       }
-      out << "end\n";
+      std::fputs("end\n", out);
       ++entries_saved;
     }
     return true;

@@ -73,14 +73,6 @@ std::string ScenarioSpec::label() const {
   return solver + "{" + params.signature() + "}";
 }
 
-std::uint64_t ScenarioSpec::instance_seed(int trial) const {
-  return derive_seed(seed, "", instance_params(), trial);
-}
-
-std::uint64_t ScenarioSpec::algo_seed(int trial) const {
-  return derive_seed(seed, solver, params, trial);
-}
-
 std::uint64_t derive_seed(std::uint64_t base_seed, const std::string& salt,
                           const ParamMap& params, int trial) {
   std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -113,6 +105,14 @@ SeedStream ScenarioSpec::instance_seeds() const {
 
 SeedStream ScenarioSpec::algo_seeds() const {
   return SeedStream(seed, solver, params);
+}
+
+std::uint64_t ScenarioSpec::instance_seed(int trial) const {
+  return instance_seeds().seed(trial);
+}
+
+std::uint64_t ScenarioSpec::algo_seed(int trial) const {
+  return algo_seeds().seed(trial);
 }
 
 std::vector<ScenarioSpec> SweepPlan::expand() const {

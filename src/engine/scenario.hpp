@@ -76,18 +76,17 @@ struct ScenarioSpec {
   /// `algo_params`.
   ParamMap instance_params() const { return params.without(algo_params); }
 
-  /// Seed of trial `trial`'s instance stream (solver-independent, shared by
-  /// every solver swept over the same instance parameters).
-  std::uint64_t instance_seed(int trial) const;
-  /// Seed of trial `trial`'s algorithm stream (salted with the solver name
-  /// and the full parameter bag).
-  std::uint64_t algo_seed(int trial) const;
-
-  /// The same two streams for trial loops: built once per scenario, they
-  /// give instance_seed(t) and algo_seed(t) without re-rendering the
-  /// parameter signature per trial.
+  /// Seeds of the instance stream (solver-independent, shared by every
+  /// solver swept over the same instance parameters). Built once per
+  /// scenario, so trial loops do not re-render the parameter signature.
   SeedStream instance_seeds() const;
+  /// Seeds of the algorithm stream (salted with the solver name and the
+  /// full parameter bag).
   SeedStream algo_seeds() const;
+
+  /// Trial `trial`'s seed from each stream (builds the stream per call).
+  std::uint64_t instance_seed(int trial) const;
+  std::uint64_t algo_seed(int trial) const;
 };
 
 /// Longest format_param rendering ("-2.2250738585072014e-308").

@@ -58,6 +58,13 @@ Status replace_file(const std::string& path, const FileFiller& fill) {
   const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
                           std::to_string(counter.fetch_add(1));
   Status status = write_with(tmp, path, fill);
+  // The replacement keeps the permission bits of the file it replaces.
+  struct stat st;
+  if (status.ok() && ::stat(path.c_str(), &st) == 0 &&
+      ::chmod(tmp.c_str(), st.st_mode & 07777) != 0) {
+    status = Status::runtime("cannot replace '" + path +
+                             "': " + std::strerror(errno));
+  }
   if (status.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
     status = Status::runtime("cannot replace '" + path +
                              "': " + std::strerror(errno));

@@ -24,7 +24,9 @@ using FileFiller = std::function<bool(std::FILE*)>;
 
 /// Replaces the file at `path` atomically: `fill` writes a temp file in the
 /// same directory, which is renamed into place, so a reader never sees a
-/// torn file. A failed open, a false `fill`, a write error or a failed
+/// torn file. This needs write permission on the directory; the new file
+/// keeps the old one's permission bits but is owned by the writer, and
+/// hard links to the old file keep the old contents. A failed open, a false `fill`, a write error or a failed
 /// rename is a runtime Status naming `path` and the system error, and the
 /// temp file is removed.
 Status replace_file(const std::string& path, const FileFiller& fill);

@@ -142,12 +142,15 @@ TEST(ScenarioSpec, AlgoParamsExcludedFromInstanceSeedOnly) {
   ScenarioSpec b = a;
   b.params.set("eps", 0.25);
   // Same instance stream, different algorithm stream.
-  EXPECT_EQ(a.instance_seed(3), b.instance_seed(3));
-  EXPECT_NE(a.algo_seed(3), b.algo_seed(3));
+  EXPECT_EQ(a.instance_seeds().seed(3), b.instance_seeds().seed(3));
+  EXPECT_NE(a.algo_seeds().seed(3), b.algo_seeds().seed(3));
   // A non-algo param change moves the instance stream.
   ScenarioSpec c = a;
   c.params.set("n", 11.0);
-  EXPECT_NE(a.instance_seed(3), c.instance_seed(3));
+  EXPECT_NE(a.instance_seeds().seed(3), c.instance_seeds().seed(3));
+  // The per-trial accessors read the same streams.
+  EXPECT_EQ(c.instance_seed(3), c.instance_seeds().seed(3));
+  EXPECT_EQ(c.algo_seed(3), c.algo_seeds().seed(3));
 }
 
 TEST(SweepPlan, ExpandsCartesianAxesMajorSolverMinor) {

@@ -247,6 +247,21 @@ TEST(SolveService, GeneratorRequestsTheGeneratorCannotDrawAreUsage) {
     }
   }
 
+  // The ablation and micro solvers draw from the same generator.
+  for (const char* solver :
+       {"ablation.incremental_matching", "ablation.parallel_greedy",
+        "ablation.candidate_pruning", "micro.power_sched"}) {
+    request = generator_request("crowded");
+    request.solver = solver;
+    request.params = {{"jobs", 50.0}, {"processors", 1.0}, {"horizon", 2.0}};
+    status = service.solve(request, response);
+    EXPECT_EQ(status.code(), Status::Code::kUsage) << solver;
+    EXPECT_NE(status.message().find("jobs = 50 exceeds processors * horizon "
+                                    "= 1 * 2 = 2"),
+              std::string::npos)
+        << status.message();
+  }
+
   // Exactly one job per slot is drawable.
   request = generator_request("full");
   request.params.set("jobs", 24.0);

@@ -356,8 +356,10 @@ TEST(SessionStatus, AdHocValidation) {
     }
   }
   {  // a grid point with more jobs than its processors * horizon slots, and
-     // one with an empty grid, for the power and prize generators
-    for (const char* solver : {"power.per_job", "prize.value_floor"}) {
+     // one with an empty grid, for every feasible-instance generator
+    for (const char* solver :
+         {"power.per_job", "prize.value_floor", "ablation.parallel_greedy",
+          "micro.power_sched"}) {
       RunConfig config;
       config.plan.solvers = {solver};
       config.plan.base_params = {{"processors", 2.0}, {"horizon", 3.0}};

@@ -552,6 +552,18 @@ TEST(WriteFileIfChanged, ChangedLongerShorterAndMissingFilesAreReplaced) {
   }
 }
 
+TEST(WriteFileIfChanged, ReplacementKeepsThePermissionBits) {
+  const std::string dir = fresh_dir("mode");
+  const std::string path = dir + "/out.txt";
+  ASSERT_TRUE(write_file_if_changed(path, "old\n").ok());
+  ASSERT_EQ(::chmod(path.c_str(), 0600), 0);
+  ASSERT_TRUE(write_file_if_changed(path, "new\n").ok());
+  struct stat st;
+  ASSERT_EQ(::stat(path.c_str(), &st), 0);
+  EXPECT_EQ(st.st_mode & 07777, 0600u);
+  EXPECT_EQ(slurp(path), "new\n");
+}
+
 TEST(WriteFileIfChanged, SymlinksAndDevicesAreWrittenThrough) {
   const std::string dir = fresh_dir("through");
   const std::string target = dir + "/target.txt";
