@@ -57,7 +57,7 @@ elif [ "$TSAN" -eq 1 ]; then
   EXTRA_CMAKE_ARGS="-DCMAKE_CXX_FLAGS=-fsanitize=thread -g"
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
   # The tests whose code paths run work on util::ThreadPool.
-  TESTS="^(util_test|engine_test|percentile_test|secretary_test|core_test|dispatch_test|serve_test)$"
+  TESTS="^(util_test|engine_test|percentile_test|secretary_test|core_test|dispatch_test|serve_test|scheduler_kernels_test)$"
 else
   BUILD_DIR="${BUILD_DIR:-build-check}"
   EXTRA_CMAKE_ARGS=""

@@ -16,11 +16,17 @@ constexpr double kGainTol = 1e-9;
 }  // namespace
 
 SetFunctionUtility::SetFunctionUtility(const submodular::SetFunction& f)
-    : f_(f), set_(f.ground_size()), current_value_(f.value(set_)) {}
+    : f_(f),
+      incremental_(f.make_incremental()),
+      set_(f.ground_size()),
+      current_value_(f.value(set_)) {}
 
 double SetFunctionUtility::gain_of(const std::vector<int>& items) const {
-  // gain_of runs concurrently across candidates under run_plain's pool, so
-  // the scratch is thread-local rather than a member; assignment reuses its
+  // value_with is const, so run_plain's pool may query it concurrently.
+  if (incremental_ != nullptr && items.size() == 1) {
+    return incremental_->value_with(items.front()) - current_value_;
+  }
+  // The scratch is thread-local for the same reason; assignment reuses its
   // buffer, so steady-state gain queries never allocate at any ground size.
   thread_local submodular::ItemSet augmented;
   augmented = set_;
@@ -29,8 +35,26 @@ double SetFunctionUtility::gain_of(const std::vector<int>& items) const {
 }
 
 void SetFunctionUtility::commit(const std::vector<int>& items) {
-  for (int item : items) set_.insert(item);
-  current_value_ = f_.value(set_);
+  if (incremental_ == nullptr) {
+    for (int item : items) set_.insert(item);
+    current_value_ = f_.value(set_);
+    return;
+  }
+  // Add every new item but the last, then read F(S ∪ items) as value_with
+  // of the last one before adding it: one value call, as value() would be.
+  int last = -1;
+  for (int item : items) {
+    if (set_.contains(item)) continue;
+    set_.insert(item);
+    if (last != -1) incremental_->add(last);
+    last = item;
+  }
+  if (last == -1) {
+    current_value_ = f_.value(set_);
+    return;
+  }
+  current_value_ = incremental_->value_with(last);
+  incremental_->add(last);
 }
 
 namespace {

@@ -62,8 +62,12 @@ class IncrementalUtility {
   virtual void commit(const std::vector<int>& items) = 0;
 };
 
-/// IncrementalUtility over a plain SetFunction value oracle; the reference
-/// (slow-path) adapter.
+/// IncrementalUtility over a SetFunction value oracle. When `f` offers an
+/// IncrementalEvaluator, a single-item gain_of is value_with(item) -
+/// current() and commit adds only the new items, one value_with for the
+/// new value; otherwise each query evaluates F(S ∪ items) from scratch.
+/// Both give the doubles, and the value-call counts under a CountingOracle,
+/// of one value() per gain_of and per commit.
 class SetFunctionUtility final : public IncrementalUtility {
  public:
   explicit SetFunctionUtility(const submodular::SetFunction& f);
@@ -76,6 +80,8 @@ class SetFunctionUtility final : public IncrementalUtility {
 
  private:
   const submodular::SetFunction& f_;
+  // Tracks set_ when f_ has a fast path; nullptr otherwise.
+  std::unique_ptr<submodular::IncrementalEvaluator> incremental_;
   submodular::ItemSet set_;
   double current_value_;
 };

@@ -658,19 +658,25 @@ void register_dp(SolverRegistry& registry) {
 // ---------------------------------------------------------------------------
 // frontier.primal_dual (E15): the value/energy frontier from both axes
 
+scheduling::RandomInstanceParams frontier_instance_params(
+    const ParamMap& params) {
+  scheduling::RandomInstanceParams gen;
+  gen.num_jobs = params.get_int("jobs", 16);
+  gen.num_processors = params.get_int("processors", 2);
+  gen.horizon = params.get_int("horizon", 14);
+  gen.windows_per_job = params.get_int("windows", 2);
+  gen.window_length = params.get_int("window_length", 3);
+  gen.min_value = 1.0;
+  gen.max_value = params.get("max_value", 8.0);
+  return gen;
+}
+
 void register_frontier(SolverRegistry& registry) {
   registry.add_fn("frontier.primal_dual", [](const ParamMap& params,
                                              util::Rng& instance_rng,
                                              util::Rng&) {
-    scheduling::RandomInstanceParams gen;
-    gen.num_jobs = params.get_int("jobs", 16);
-    gen.num_processors = params.get_int("processors", 2);
-    gen.horizon = params.get_int("horizon", 14);
-    gen.windows_per_job = params.get_int("windows", 2);
-    gen.window_length = params.get_int("window_length", 3);
-    gen.min_value = 1.0;
-    gen.max_value = params.get("max_value", 8.0);
-    const auto instance = scheduling::random_instance(gen, instance_rng);
+    const auto instance = scheduling::random_instance(
+        frontier_instance_params(params), instance_rng);
     const scheduling::RestartCostModel model(params.get("alpha", 2.0));
 
     const double z = params.get("zfrac", 0.5) * instance.total_value();
@@ -691,24 +697,32 @@ void register_frontier(SolverRegistry& registry) {
     out.set_metric("dual_recovers",
                    dual.value >= 0.9 * primal.value ? 1.0 : 0.0);
     return out;
+  }, [](const ParamMap& params) {
+    return check_random_generator(frontier_instance_params(params));
   });
 }
 
 // ---------------------------------------------------------------------------
 // hiring.* (E14): online processor hiring
 
+scheduling::RandomInstanceParams hiring_instance_params(
+    const ParamMap& params) {
+  scheduling::RandomInstanceParams gen;
+  gen.num_processors = params.get_int("processors", 8);
+  gen.num_jobs = params.get_int("jobs", 2 * gen.num_processors);
+  gen.horizon = params.get_int("horizon", 6);
+  gen.windows_per_job = params.get_int("windows", 2);
+  gen.window_length = params.get_int("window_length", 2);
+  return gen;
+}
+
 void register_hiring(SolverRegistry& registry) {
   const auto hiring_trial = [](const ParamMap& params,
                                util::Rng& instance_rng, bool naive) {
     const std::uint64_t fingerprint = instance_rng();
-    const int processors = params.get_int("processors", 8);
     const int k = std::max(1, params.get_int("k", 2));
-    scheduling::RandomInstanceParams gen;
-    gen.num_jobs = params.get_int("jobs", 2 * processors);
-    gen.num_processors = processors;
-    gen.horizon = params.get_int("horizon", 6);
-    gen.windows_per_job = params.get_int("windows", 2);
-    gen.window_length = params.get_int("window_length", 2);
+    const auto gen = hiring_instance_params(params);
+    const int processors = gen.num_processors;
     const auto instance = scheduling::random_instance(gen, instance_rng);
     const auto order = instance_rng.permutation(processors);
     // Both solvers draw (fingerprint, instance, order) identically, so the
@@ -732,16 +746,19 @@ void register_hiring(SolverRegistry& registry) {
     out.reference = offline;
     return out;
   };
+  const auto check = [](const ParamMap& params) {
+    return check_random_generator(hiring_instance_params(params));
+  };
   registry.add_fn("hiring.online",
                   [hiring_trial](const ParamMap& params,
                                  util::Rng& instance_rng, util::Rng&) {
                     return hiring_trial(params, instance_rng, false);
-                  });
+                  }, check);
   registry.add_fn("hiring.naive",
                   [hiring_trial](const ParamMap& params,
                                  util::Rng& instance_rng, util::Rng&) {
                     return hiring_trial(params, instance_rng, true);
-                  });
+                  }, check);
 }
 
 // ---------------------------------------------------------------------------

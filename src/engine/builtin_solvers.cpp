@@ -314,6 +314,17 @@ Status check_power_params(const ParamMap& params) {
   return check_brute_force_grid("vs_opt", gen.num_processors, gen.horizon);
 }
 
+/// budget.value's generator: instance_params with its own defaults.
+scheduling::RandomInstanceParams budget_instance_params(
+    const ParamMap& params) {
+  ParamMap generator_params = params;
+  if (!params.has("jobs")) generator_params.set("jobs", 20);
+  if (!params.has("processors")) generator_params.set("processors", 3);
+  if (!params.has("horizon")) generator_params.set("horizon", 16);
+  if (!params.has("max_value")) generator_params.set("max_value", 12.0);
+  return instance_params(generator_params);
+}
+
 void register_scheduling(SolverRegistry& registry) {
   registry.add_fn("power.greedy", [](const ParamMap& params,
                                      util::Rng& instance_rng, util::Rng&) {
@@ -360,13 +371,8 @@ void register_scheduling(SolverRegistry& registry) {
 
   registry.add_fn("budget.value", [](const ParamMap& params,
                                      util::Rng& instance_rng, util::Rng&) {
-    ParamMap generator_params = params;
-    if (!params.has("jobs")) generator_params.set("jobs", 20);
-    if (!params.has("processors")) generator_params.set("processors", 3);
-    if (!params.has("horizon")) generator_params.set("horizon", 16);
-    if (!params.has("max_value")) generator_params.set("max_value", 12.0);
     const auto instance = scheduling::random_instance(
-        instance_params(generator_params), instance_rng);
+        budget_instance_params(params), instance_rng);
     const scheduling::RestartCostModel model(
         resolve_alpha(params, instance_rng));
     const auto result = scheduling::schedule_max_value_with_energy_budget(
@@ -382,6 +388,8 @@ void register_scheduling(SolverRegistry& registry) {
                                                  model, false)
                        .ok;
     return out;
+  }, [](const ParamMap& params) {
+    return check_random_generator(budget_instance_params(params));
   });
 }
 

@@ -430,7 +430,10 @@ bool ScenarioCacheStore::load(ScenarioCache& cache) const {
 bool ScenarioCacheStore::save(const ScenarioCache& cache) const {
   const obs::StopWatch watch;
   std::size_t entries_saved = 0;
-  const Status status = util::replace_file(path_, [&](std::FILE* out) {
+  // A save that reproduces the file on disk (every warm rerun) leaves it
+  // alone, inode and mtime included; any other save replaces it.
+  const Status status =
+      util::write_file_if_changed(path_, [&](std::FILE* out) {
     std::fprintf(out, "%s\n", kScenarioCacheFormatHeader);
     for (const auto& [key, result] : cache.snapshot()) {
       const ScenarioSpec& spec = result->spec;

@@ -97,6 +97,19 @@ Status check_feasible_generator(const scheduling::RandomInstanceParams& gen) {
       std::to_string(gen.horizon) + " = " + std::to_string(slots));
 }
 
+Status check_random_generator(const scheduling::RandomInstanceParams& gen) {
+  if (gen.num_processors >= 1 && gen.horizon >= 1 &&
+      gen.windows_per_job >= 1 && gen.window_length >= 1) {
+    return Status();
+  }
+  return Status::usage(
+      "processors, horizon, windows and window_length must be >= 1, but "
+      "processors = " + std::to_string(gen.num_processors) +
+      ", horizon = " + std::to_string(gen.horizon) +
+      ", windows = " + std::to_string(gen.windows_per_job) +
+      ", window_length = " + std::to_string(gen.window_length));
+}
+
 ReferenceCacheStats reference_cache_stats() {
   Cache& c = cache();
   const std::lock_guard<std::mutex> lock(c.mutex);

@@ -20,8 +20,13 @@ int IncrementalMatchingOracle::add_x(int x) {
   if (active_x_.contains(x)) return 0;
   active_x_.insert(x);
   // A new augmenting path, if any, must start at the only new free vertex.
-  ++current_stamp_;
+  // Jobs stamped by a failed search stay stamped: they hold no free job and
+  // are closed under alternating reachability, so until the matching
+  // changes, any later search that reaches one fails through it and visits
+  // nothing else. Skipping them leaves every search's path unchanged, and
+  // only a successful augmentation starts a fresh stamp.
   if (try_augment_from(x)) {
+    ++current_stamp_;
     ++size_;
     return 1;
   }
@@ -43,9 +48,13 @@ bool IncrementalMatchingOracle::try_augment_from(int x) {
 }
 
 int IncrementalMatchingOracle::gain_of(const std::vector<int>& extra_x) const {
-  IncrementalMatchingOracle copy = *this;
+  // gain_of runs concurrently across candidates under the greedy's pool, so
+  // the scratch copy is thread-local; assignment reuses its buffers, so
+  // steady-state queries never allocate.
+  thread_local IncrementalMatchingOracle scratch;
+  scratch = *this;
   int gain = 0;
-  for (int x : extra_x) gain += copy.add_x(x);
+  for (int x : extra_x) gain += scratch.add_x(x);
   return gain;
 }
 

@@ -12,8 +12,12 @@
 //     the slot set (shown in Lemma 2.3.2's proof), and the new optimum is the
 //     old one plus the best-value free job reachable from the new slot by an
 //     alternating path — or nothing.
-// Oracles are cheap to copy, which is how what-if evaluation of a candidate
-// set is done (copy, add candidate's slots, read the value).
+// What-if evaluation of a candidate set copies the oracle, adds the
+// candidate's slots and reads the value. Cost of the cardinality oracle:
+// add_x is one DFS over the jobs not yet stamped, and a failed search's
+// jobs stay stamped until the next augmentation, so a run of failed add_x
+// calls costs O(E) in total rather than O(E) each; gain_of copies into a
+// reused thread-local scratch, O(|X| + |Y|) per query with no allocation.
 #pragma once
 
 #include <vector>
@@ -42,20 +46,26 @@ class IncrementalMatchingOracle {
   const std::vector<int>& match_y() const { return match_y_; }
   const std::vector<int>& match_x() const { return match_x_; }
 
-  /// F(S ∪ extra) - F(S) without mutating this oracle (works on a copy).
+  /// F(S ∪ extra) - F(S) without mutating this oracle. Works on a
+  /// thread-local scratch copy that is assigned, not allocated, per query,
+  /// so concurrent calls on one oracle from different threads are safe.
   int gain_of(const std::vector<int>& extra_x) const;
 
  private:
+  IncrementalMatchingOracle() = default;  // gain_of's scratch
   bool try_augment_from(int x);
 
-  const BipartiteGraph* graph_;
+  const BipartiteGraph* graph_ = nullptr;
   submodular::ItemSet active_x_;
   std::vector<int> match_x_;
   std::vector<int> match_y_;
   int size_ = 0;
-  // DFS bookkeeping, versioned to avoid clearing between searches.
-  mutable std::vector<int> visit_stamp_;
-  mutable int current_stamp_ = 0;
+  // DFS bookkeeping, versioned to avoid clearing between searches. A job
+  // stamped current_stamp_ is visited in this search or dead: reached by a
+  // failed search since the last augmentation, so it cannot lie on an
+  // augmenting path. The stamp advances only when the matching grows.
+  std::vector<int> visit_stamp_;
+  int current_stamp_ = 1;
 };
 
 /// Maintains a maximum-weight saturated job set over a growing subset S ⊆ X,

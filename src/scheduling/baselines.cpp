@@ -110,14 +110,15 @@ SlotSubsetCosts::SlotSubsetCosts(const SchedulingInstance& instance,
       run_times.push_back(ref.time);
     }
     run.width_mask = (1u << run_times.size()) - 1u;
-    run.cost.resize(std::size_t{1} << run_times.size());
-    for (std::uint32_t sub = 0; sub <= run.width_mask; ++sub) {
+    run.cost.assign(std::size_t{1} << run_times.size(), 0.0);
+    if (run_times.empty()) continue;
+    const CoverSpans spans(p, instance.horizon(), cost_model);
+    for (std::uint32_t sub = 1; sub <= run.width_mask; ++sub) {
       times.clear();
       for (std::size_t b = 0; b < run_times.size(); ++b) {
         if ((sub >> b) & 1u) times.push_back(run_times[b]);
       }
-      min_cost_cover(p, times, instance.horizon(), cost_model,
-                     &run.cost[sub]);
+      min_cost_cover(spans, times, &run.cost[sub]);
     }
   }
 }
@@ -208,22 +209,7 @@ std::optional<Schedule> brute_force_impl(const SchedulingInstance& instance,
   subsets.to_item_set(best_mask, &slots);
   Schedule schedule;
   schedule.assignment = assign(slots);
-  std::vector<std::vector<int>> required(
-      static_cast<std::size_t>(instance.num_processors()));
-  for (int j = 0; j < instance.num_jobs(); ++j) {
-    const int slot = schedule.assignment[static_cast<std::size_t>(j)];
-    if (slot < 0) continue;
-    const SlotRef ref = instance.slot_of(slot);
-    required[static_cast<std::size_t>(ref.processor)].push_back(ref.time);
-  }
-  for (int p = 0; p < instance.num_processors(); ++p) {
-    auto& times = required[static_cast<std::size_t>(p)];
-    std::sort(times.begin(), times.end());
-    double c = 0.0;
-    auto cover = min_cost_cover(p, times, instance.horizon(), cost_model, &c);
-    schedule.energy_cost += c;
-    for (auto& iv : cover) schedule.intervals.push_back(iv);
-  }
+  cover_assignment(instance, cost_model, &schedule);
   return schedule;
 }
 

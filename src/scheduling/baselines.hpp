@@ -41,11 +41,11 @@ std::vector<int> useful_slots(const SchedulingInstance& instance);
 ///
 /// A mask's exact interval-cover cost splits by processor, and because
 /// slot index = processor * horizon + time, each processor's useful slots
-/// are one contiguous run of mask bits. The constructor therefore prices
-/// every sub-mask of every run once, with the same min_cost_cover call on
-/// the same sorted times a per-mask DP would make (so each entry is the
-/// same double), and cost() is one table lookup per processor summed in
-/// processor order. Memory: Σ_p 2^{w_p} doubles for w_p useful slots on
+/// are one contiguous run of mask bits. The constructor therefore builds
+/// one CoverSpans table per processor and prices every sub-mask of its run
+/// once, with the same min_cost_cover DP on the same sorted times a
+/// per-mask cover would run (so each entry is the same double); cost() is
+/// one table lookup per processor summed in processor order. Memory: Σ_p 2^{w_p} doubles for w_p useful slots on
 /// processor p — 32 MiB at worst (one processor, 22 useful slots).
 ///
 /// Aborts (in every build type) when the instance has more than

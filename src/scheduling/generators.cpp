@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <numbers>
 
 namespace ps::scheduling {
@@ -27,6 +29,18 @@ void add_window(Job* job, int processor, int start, int length, int horizon) {
 
 SchedulingInstance random_instance(const RandomInstanceParams& params,
                                    util::Rng& rng) {
+  // With no window to draw, or none that lands on a slot, the redraw loop
+  // below would never end; refuse in every build type instead.
+  if (params.num_processors < 1 || params.horizon < 1 ||
+      params.windows_per_job < 1 || params.window_length < 1) {
+    std::fprintf(stderr,
+                 "random_instance: processors, horizon, windows and "
+                 "window_length must be >= 1, but processors = %d, horizon "
+                 "= %d, windows = %d, window_length = %d\n",
+                 params.num_processors, params.horizon,
+                 params.windows_per_job, params.window_length);
+    std::abort();
+  }
   std::vector<Job> jobs;
   jobs.reserve(static_cast<std::size_t>(params.num_jobs));
   for (int j = 0; j < params.num_jobs; ++j) {

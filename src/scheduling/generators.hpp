@@ -29,6 +29,9 @@ struct RandomInstanceParams {
 /// Multi-interval instance: each job gets `windows_per_job` random windows on
 /// random processors; its admissible pairs are all slots inside them.
 /// The generator guarantees every job has at least one admissible slot.
+/// Aborts (in every build type) unless processors, horizon, windows_per_job
+/// and window_length are all >= 1; front ends reject other parameters
+/// before any trial with engine::check_random_generator.
 SchedulingInstance random_instance(const RandomInstanceParams& params,
                                    util::Rng& rng);
 

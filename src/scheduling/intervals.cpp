@@ -94,10 +94,43 @@ double total_cost(const std::vector<AwakeInterval>& intervals,
   return total;
 }
 
-std::vector<AwakeInterval> min_cost_cover(int processor,
+CoverSpans::CoverSpans(int processor, int horizon,
+                       const CostModel& cost_model)
+    : processor_(processor),
+      horizon_(horizon),
+      best_(static_cast<std::size_t>(horizon) *
+            static_cast<std::size_t>(horizon)) {
+  // best(lo, hi) is the first (cost, start, end) minimum over the intervals
+  // [s, e) with s <= lo < hi < e: those of best(lo - 1, hi), those of
+  // best(lo, hi + 1), and [lo, hi + 1) itself. Sweeping lo up and hi down
+  // fills each entry from two finished neighbours.
+  auto before = [](const Span& a, const Span& b) {
+    if (a.cost != b.cost) return a.cost < b.cost;
+    return a.start != b.start ? a.start < b.start : a.end < b.end;
+  };
+  for (int lo = 0; lo < horizon; ++lo) {
+    for (int hi = horizon - 1; hi >= lo; --hi) {
+      double c = cost_model.cost(processor, lo, hi + 1);
+      // A NaN never won the old strict-< scan; as +inf it never wins here.
+      if (std::isnan(c)) c = kInfiniteCost;
+      Span best{c, lo, hi + 1};
+      if (hi + 1 < horizon && before(at(lo, hi + 1), best)) {
+        best = at(lo, hi + 1);
+      }
+      if (lo > 0 && before(at(lo - 1, hi), best)) best = at(lo - 1, hi);
+      best_[index(lo, hi)] = best;
+    }
+  }
+}
+
+double CoverSpans::cheapest(int lo, int hi, AwakeInterval* out) const {
+  const Span& span = at(lo, hi);
+  *out = AwakeInterval{processor_, span.start, span.end};
+  return span.cost;
+}
+
+std::vector<AwakeInterval> min_cost_cover(const CoverSpans& spans,
                                           const std::vector<int>& required_times,
-                                          int horizon,
-                                          const CostModel& cost_model,
                                           double* cost) {
   assert(cost != nullptr);
   if (required_times.empty()) {
@@ -107,33 +140,18 @@ std::vector<AwakeInterval> min_cost_cover(int processor,
   assert(std::is_sorted(required_times.begin(), required_times.end()));
   const auto m = required_times.size();
 
-  // best_span[j][i]: cheapest single interval covering required slots j..i.
-  // dp[i]: cheapest cover of required slots 0..i-1.
-  auto cheapest_span = [&](std::size_t j, std::size_t i, AwakeInterval* out) {
-    const int lo = required_times[j];
-    const int hi = required_times[i];
-    double best = kInfiniteCost;
-    for (int s = 0; s <= lo; ++s) {
-      for (int e = hi + 1; e <= horizon; ++e) {
-        const double c = cost_model.cost(processor, s, e);
-        if (c < best) {
-          best = c;
-          *out = AwakeInterval{processor, s, e};
-        }
-      }
-    }
-    return best;
-  };
-
+  // dp[i]: cheapest cover of required slots 0..i-1, whose last interval
+  // covers slots split[i]..i-1.
   std::vector<double> dp(m + 1, kInfiniteCost);
   std::vector<std::size_t> split(m + 1, 0);
   std::vector<AwakeInterval> chosen_span(m + 1);
   dp[0] = 0.0;
   for (std::size_t i = 1; i <= m; ++i) {
+    const int hi = required_times[i - 1];
     for (std::size_t j = 0; j < i; ++j) {
       if (!std::isfinite(dp[j])) continue;
       AwakeInterval span;
-      const double c = cheapest_span(j, i - 1, &span);
+      const double c = spans.cheapest(required_times[j], hi, &span);
       if (dp[j] + c < dp[i]) {
         dp[i] = dp[j] + c;
         split[i] = j;
@@ -150,6 +168,19 @@ std::vector<AwakeInterval> min_cost_cover(int processor,
   }
   std::reverse(result.begin(), result.end());
   return result;
+}
+
+std::vector<AwakeInterval> min_cost_cover(int processor,
+                                          const std::vector<int>& required_times,
+                                          int horizon,
+                                          const CostModel& cost_model,
+                                          double* cost) {
+  if (required_times.empty()) {
+    *cost = 0.0;
+    return {};
+  }
+  return min_cost_cover(CoverSpans(processor, horizon, cost_model),
+                        required_times, cost);
 }
 
 }  // namespace ps::scheduling

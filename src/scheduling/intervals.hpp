@@ -3,6 +3,7 @@
 // that machine's slots over the interval, priced by the cost model.
 #pragma once
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -72,12 +73,57 @@ std::size_t prune_dominated_candidates(IntervalPool* pool);
 double total_cost(const std::vector<AwakeInterval>& intervals,
                   const CostModel& cost_model);
 
-/// Minimum-cost collection of intervals on one processor covering all of
-/// `required_times` (sorted, within [0, horizon)), by the consecutive-group
-/// DP: any interval covers a consecutive run of required slots, so an
-/// optimal cover partitions them into runs. Exact for every cost model.
+/// The cheapest single awake interval over every span of times on one
+/// processor, tabulated once: cheapest(lo, hi) is the first minimum by
+/// (cost, start, end) over the intervals [s, e) with s <= lo and e > hi —
+/// the interval a scan of s ascending, then e ascending, keeps under strict
+/// `<`. Construction makes horizon·(horizon+1)/2 cost-model calls and
+/// O(horizon²) comparisons; memory is horizon² entries of 16 bytes (1 MiB
+/// at horizon 256). Read-only afterwards, so threads may share one.
+class CoverSpans {
+ public:
+  CoverSpans(int processor, int horizon, const CostModel& cost_model);
+
+  int processor() const { return processor_; }
+  int horizon() const { return horizon_; }
+
+  /// Cost of the cheapest interval containing times lo..hi
+  /// (0 <= lo <= hi < horizon), written to *out; kInfiniteCost when none
+  /// is finite, in which case *out is meaningless.
+  double cheapest(int lo, int hi, AwakeInterval* out) const;
+
+ private:
+  struct Span {
+    double cost = kInfiniteCost;
+    int start = 0;
+    int end = 0;
+  };
+
+  std::size_t index(int lo, int hi) const {
+    return static_cast<std::size_t>(lo) * static_cast<std::size_t>(horizon_) +
+           static_cast<std::size_t>(hi);
+  }
+  const Span& at(int lo, int hi) const { return best_[index(lo, hi)]; }
+
+  int processor_;
+  int horizon_;
+  std::vector<Span> best_;
+};
+
+/// Minimum-cost collection of intervals on spans.processor() covering all
+/// of `required_times` (sorted, within [0, horizon)), by the
+/// consecutive-group DP: any interval covers a consecutive run of required
+/// slots, so an optimal cover partitions them into runs, each priced by one
+/// table lookup — O(m²) for m required times. Exact for every cost model.
 /// Returns the chosen intervals; total cost in *cost (kInfiniteCost if no
 /// finite cover exists).
+std::vector<AwakeInterval> min_cost_cover(const CoverSpans& spans,
+                                          const std::vector<int>& required_times,
+                                          double* cost);
+
+/// The same cover with a table built for this one call (none when
+/// `required_times` is empty). Callers covering several time sets on one
+/// processor build a CoverSpans once instead.
 std::vector<AwakeInterval> min_cost_cover(int processor,
                                           const std::vector<int>& required_times,
                                           int horizon,

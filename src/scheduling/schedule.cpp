@@ -1,5 +1,7 @@
 #include "scheduling/schedule.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <unordered_set>
@@ -19,6 +21,30 @@ int Schedule::num_scheduled() const {
     if (slot >= 0) ++count;
   }
   return count;
+}
+
+void cover_assignment(const SchedulingInstance& instance,
+                      const CostModel& cost_model, Schedule* schedule) {
+  assert(schedule != nullptr);
+  std::vector<std::vector<int>> required(
+      static_cast<std::size_t>(instance.num_processors()));
+  for (int slot : schedule->assignment) {
+    if (slot < 0) continue;
+    const SlotRef ref = instance.slot_of(slot);
+    required[static_cast<std::size_t>(ref.processor)].push_back(ref.time);
+  }
+  schedule->intervals.clear();
+  schedule->energy_cost = 0.0;
+  for (int p = 0; p < instance.num_processors(); ++p) {
+    auto& times = required[static_cast<std::size_t>(p)];
+    std::sort(times.begin(), times.end());
+    double c = 0.0;
+    const auto cover =
+        min_cost_cover(p, times, instance.horizon(), cost_model, &c);
+    schedule->energy_cost += c;
+    schedule->intervals.insert(schedule->intervals.end(), cover.begin(),
+                               cover.end());
+  }
 }
 
 double Schedule::scheduled_value(const SchedulingInstance& instance) const {

@@ -27,6 +27,14 @@ struct Schedule {
   double scheduled_value(const SchedulingInstance& instance) const;
 };
 
+/// The final polish every scheduler ends with: replaces `intervals` and
+/// `energy_cost` with the exact cover of the slots `assignment` uses — per
+/// processor in order, its assigned times sorted and priced by
+/// min_cost_cover. Never costlier than any awake set hosting the same
+/// assignment, under every cost model.
+void cover_assignment(const SchedulingInstance& instance,
+                      const CostModel& cost_model, Schedule* schedule);
+
 struct ValidationReport {
   bool ok = true;
   std::string message;

@@ -220,7 +220,7 @@ class CoverageIncremental final : public IncrementalEvaluator {
     }
   }
 
-  double value_with(int item) override {
+  double value_with(int item) const override {
     if (num_members_ == 0) return row_sums_[static_cast<std::size_t>(item)];
     const std::uint64_t* row = f_.item_mask_words(item);
     const std::uint64_t* cw = covered_.data();

@@ -70,7 +70,7 @@ class FacilityIncremental final : public IncrementalEvaluator {
         second_(static_cast<std::size_t>(f.num_clients()), 0.0),
         second_fac_(static_cast<std::size_t>(f.num_clients()), -1) {}
 
-  double value_with(int item) override {
+  double value_with(int item) const override {
     const std::vector<double>& row = f_.service_row(item);
     const std::size_t clients = best_.size();
     double total = 0.0;

@@ -10,7 +10,7 @@ class CountingOracle::CountingIncremental final : public IncrementalEvaluator {
                       std::atomic<std::size_t>& value_calls)
       : inner_(std::move(inner)), value_calls_(value_calls) {}
 
-  double value_with(int item) override {
+  double value_with(int item) const override {
     value_calls_.fetch_add(1, std::memory_order_relaxed);
     return inner_->value_with(item);
   }

@@ -33,12 +33,17 @@ namespace ps::submodular {
 /// contract is what lets the greedy loops switch over transparently:
 /// value_with(i) must return exactly the double that
 /// SetFunction::value(S.with(i)) would, for the S accumulated via add().
+///
+/// Concurrency: value_with() is const and only reads the evaluator's state,
+/// so any number of threads may call it at once (the parallel budgeted
+/// greedy does); add(), remove() and gain() need exclusive access.
 class IncrementalEvaluator {
  public:
   virtual ~IncrementalEvaluator() = default;
 
   /// F(S ∪ {item}); does not change S. Bit-identical to value(S.with(item)).
-  virtual double value_with(int item) = 0;
+  /// Safe to call concurrently with other value_with() calls.
+  virtual double value_with(int item) const = 0;
 
   /// S ← S ∪ {item}.
   virtual void add(int item) = 0;

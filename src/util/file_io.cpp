@@ -6,9 +6,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 
 namespace ps::util {
 namespace {
@@ -51,8 +53,7 @@ Status write_with(const std::string& target, const std::string& path,
                          "': " + std::strerror(error));
 }
 
-}  // namespace
-
+/// Writes `path` through a same-directory temp file renamed into place.
 Status replace_file(const std::string& path, const FileFiller& fill) {
   static std::atomic<unsigned> counter{0};
   const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
@@ -73,6 +74,8 @@ Status replace_file(const std::string& path, const FileFiller& fill) {
   return status;
 }
 
+}  // namespace
+
 Status write_file_if_changed(const std::string& path, std::string_view bytes) {
   if (holds_bytes(path, bytes)) return Status();
   const FileFiller put = [bytes](std::FILE* file) {
@@ -86,6 +89,28 @@ Status write_file_if_changed(const std::string& path, std::string_view bytes) {
     return write_with(path, path, put);
   }
   return replace_file(path, put);
+}
+
+Status write_file_if_changed(const std::string& path, const FileFiller& fill) {
+  char* data = nullptr;
+  std::size_t size = 0;
+  std::FILE* memory = ::open_memstream(&data, &size);
+  if (memory == nullptr) {
+    return Status::runtime("cannot write '" + path +
+                           "': " + std::strerror(errno));
+  }
+  errno = 0;
+  int error = 0;
+  if (!fill(memory) || std::ferror(memory) != 0) {
+    error = errno != 0 ? errno : EIO;
+  }
+  if (std::fclose(memory) != 0 && error == 0) error = errno;
+  const std::unique_ptr<char, decltype(&std::free)> owned(data, &std::free);
+  if (error != 0) {
+    return Status::runtime("cannot write '" + path +
+                           "': " + std::strerror(error));
+  }
+  return write_file_if_changed(path, std::string_view(data, size));
 }
 
 }  // namespace ps::util

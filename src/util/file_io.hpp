@@ -22,20 +22,23 @@ namespace ps::util {
 /// Writes a file's contents to an open stream; false when it gave up.
 using FileFiller = std::function<bool(std::FILE*)>;
 
-/// Replaces the file at `path` atomically: `fill` writes a temp file in the
-/// same directory, which is renamed into place, so a reader never sees a
-/// torn file. This needs write permission on the directory; the new file
-/// keeps the old one's permission bits but is owned by the writer, and
-/// hard links to the old file keep the old contents. A failed open, a false `fill`, a write error or a failed
-/// rename is a runtime Status naming `path` and the system error, and the
-/// temp file is removed.
-Status replace_file(const std::string& path, const FileFiller& fill);
-
 /// Makes the file at `path` hold exactly `bytes`. When it already does
 /// (same size, then equal in fixed-size chunks, so no whole-file buffer),
-/// nothing is written. Otherwise the file is replaced with replace_file; a
+/// nothing is written. Otherwise the file is replaced atomically: the bytes
+/// go to a temp file in the same directory, which is renamed into place, so
+/// a reader never sees a torn file. This needs write permission on the
+/// directory; the new file keeps the old one's permission bits but is owned
+/// by the writer, and hard links to the old file keep the old contents. A
 /// symlink, device or FIFO at `path` is written through in place instead.
-/// A directory at `path` fails like any other write error.
+/// A failed open, write or rename is a runtime Status naming `path` and the
+/// system error, and the temp file is removed; a directory at `path` fails
+/// like any other write error.
 Status write_file_if_changed(const std::string& path, std::string_view bytes);
+
+/// The same for a file produced by a stream writer: `fill` writes into an
+/// in-memory stream, whose bytes then go through the comparison above. A
+/// false `fill` or a stream error is a runtime Status naming `path`, and
+/// the file is left untouched.
+Status write_file_if_changed(const std::string& path, const FileFiller& fill);
 
 }  // namespace ps::util

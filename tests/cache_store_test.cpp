@@ -4,6 +4,7 @@
 // cache-store round-trip fidelity, version/schema rejection, stale-entry
 // non-reuse, and the unwritable-CSV exit paths.
 #include <gtest/gtest.h>
+#include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -142,6 +143,47 @@ TEST(CacheStore, RoundTripIsBitIdentical) {
     EXPECT_EQ(entry->wall_ms.count(), result->wall_ms.count());
     EXPECT_EQ(entry->wall_ms.sum(), result->wall_ms.sum());
   }
+  std::remove(path.c_str());
+}
+
+TEST(CacheStore, IdenticalSaveKeepsTheFileAndAChangedSaveReplacesIt) {
+  const SolverRegistry registry = SolverRegistry::with_builtins();
+  ScenarioCache cache;
+  SweepOptions options;
+  options.use_cache = true;
+  options.cache = &cache;
+  const SweepRunner runner(options);
+  runner.run(registry, cheap_plan());
+
+  const std::string path = temp_path("unchanged_save.cache");
+  std::remove(path.c_str());
+  ASSERT_TRUE(ScenarioCacheStore(path).save(cache));
+  // Back-date the file so a rewrite would show in its mtime too.
+  const struct timespec old_times[2] = {{1000000000, 0}, {1000000000, 0}};
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), old_times, 0), 0);
+  struct stat before;
+  ASSERT_EQ(::stat(path.c_str(), &before), 0);
+  const std::string bytes = read_file(path);
+
+  // A rerun's save of the same entries: nothing is written.
+  ASSERT_TRUE(ScenarioCacheStore(path).save(cache));
+  struct stat after;
+  ASSERT_EQ(::stat(path.c_str(), &after), 0);
+  EXPECT_EQ(after.st_ino, before.st_ino);
+  EXPECT_EQ(after.st_mtim.tv_sec, before.st_mtim.tv_sec);
+  EXPECT_EQ(read_file(path), bytes);
+
+  // One more scenario: the file is replaced with the new contents.
+  SweepPlan more = cheap_plan();
+  more.axes = {{"dist", {2}}};
+  runner.run(registry, more);
+  ASSERT_TRUE(ScenarioCacheStore(path).save(cache));
+  ASSERT_EQ(::stat(path.c_str(), &after), 0);
+  EXPECT_NE(after.st_ino, before.st_ino);
+  EXPECT_NE(read_file(path), bytes);
+  ScenarioCache loaded;
+  ASSERT_TRUE(ScenarioCacheStore(path).load(loaded));
+  EXPECT_EQ(loaded.size(), cache.size());
   std::remove(path.c_str());
 }
 

@@ -35,6 +35,22 @@ TEST(Generators, RandomInstanceShape) {
   }
 }
 
+TEST(GeneratorsDeathTest, RandomInstanceRejectsSizesBelowOne) {
+  // Each of these left the window redraw loop with nothing to draw, so it
+  // spun forever; now the generator says why and aborts in every build.
+  const auto draw = [](int RandomInstanceParams::*field) {
+    RandomInstanceParams params;
+    params.*field = 0;
+    util::Rng rng(1);
+    random_instance(params, rng);
+  };
+  EXPECT_DEATH(draw(&RandomInstanceParams::windows_per_job), "windows = 0");
+  EXPECT_DEATH(draw(&RandomInstanceParams::horizon), "horizon = 0");
+  EXPECT_DEATH(draw(&RandomInstanceParams::window_length),
+               "window_length = 0");
+  EXPECT_DEATH(draw(&RandomInstanceParams::num_processors), "processors = 0");
+}
+
 TEST(Generators, FeasibleInstanceIsFeasible) {
   util::Rng rng(403);
   for (int trial = 0; trial < 20; ++trial) {

@@ -267,6 +267,24 @@ TEST(SolveService, GeneratorRequestsTheGeneratorCannotDrawAreUsage) {
   request.params.set("jobs", 24.0);
   status = service.solve(request, response);
   EXPECT_TRUE(status.ok()) << status.message();
+
+  // The random (not planted) generator has no window to draw with any of
+  // these below 1; it would redraw forever instead of answering.
+  for (const char* solver : {"budget.value", "frontier.primal_dual",
+                             "hiring.online", "hiring.naive"}) {
+    for (const char* size :
+         {"windows", "horizon", "window_length", "processors"}) {
+      request = generator_request("no-window");
+      request.solver = solver;
+      request.trials = 1;
+      request.params.set(size, 0.0);
+      status = service.solve(request, response);
+      EXPECT_EQ(status.code(), Status::Code::kUsage) << solver << " " << size;
+      EXPECT_NE(status.message().find(std::string(size) + " = 0"),
+                std::string::npos)
+          << status.message();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -378,6 +378,19 @@ TEST(SessionStatus, AdHocValidation) {
           << status.message();
     }
   }
+  {  // a grid point the random-instance generator cannot draw from, for
+     // every solver that uses it
+    for (const char* solver : {"budget.value", "frontier.primal_dual",
+                               "hiring.online", "hiring.naive"}) {
+      RunConfig config;
+      config.plan.solvers = {solver};
+      config.plan.axes = {{"windows", {2, 0}}};
+      const Status status = Session(std::move(config)).run();
+      EXPECT_EQ(status.code(), Status::Code::kUsage) << solver;
+      EXPECT_NE(status.message().find("windows = 0"), std::string::npos)
+          << status.message();
+    }
+  }
 }
 
 TEST(SessionStatus, MissingMergeInputIsRuntime) {
