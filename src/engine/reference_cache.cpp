@@ -98,16 +98,8 @@ Status check_feasible_generator(const scheduling::RandomInstanceParams& gen) {
 }
 
 Status check_random_generator(const scheduling::RandomInstanceParams& gen) {
-  if (gen.num_processors >= 1 && gen.horizon >= 1 &&
-      gen.windows_per_job >= 1 && gen.window_length >= 1) {
-    return Status();
-  }
-  return Status::usage(
-      "processors, horizon, windows and window_length must be >= 1, but "
-      "processors = " + std::to_string(gen.num_processors) +
-      ", horizon = " + std::to_string(gen.horizon) +
-      ", windows = " + std::to_string(gen.windows_per_job) +
-      ", window_length = " + std::to_string(gen.window_length));
+  const std::string why = scheduling::random_instance_violation(gen);
+  return why.empty() ? Status() : Status::usage(why);
 }
 
 ReferenceCacheStats reference_cache_stats() {

@@ -55,10 +55,9 @@ Status check_brute_force_grid(const std::string& what, int processors,
 /// Solver::check_params of every solver that generates feasible instances.
 Status check_feasible_generator(const scheduling::RandomInstanceParams& gen);
 
-/// Usage error, naming the values, unless random_instance can draw from
-/// `gen`: processors, horizon, windows and window_length at least 1 (with
-/// fewer it has no window to give a job and would redraw forever). The
-/// Solver::check_params of every solver that generates random instances.
+/// Usage error, with scheduling::random_instance_violation's text, unless
+/// random_instance can draw from `gen`. The Solver::check_params of every
+/// solver that generates random instances.
 Status check_random_generator(const scheduling::RandomInstanceParams& gen);
 
 struct ReferenceCacheStats {

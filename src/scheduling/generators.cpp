@@ -27,18 +27,26 @@ void add_window(Job* job, int processor, int start, int length, int horizon) {
 
 }  // namespace
 
+std::string random_instance_violation(const RandomInstanceParams& params) {
+  if (params.num_jobs >= 0 && params.num_processors >= 1 &&
+      params.horizon >= 1 && params.windows_per_job >= 1 &&
+      params.window_length >= 1) {
+    return {};
+  }
+  return "jobs must be >= 0 and processors, horizon, windows and "
+         "window_length >= 1, but jobs = " +
+         std::to_string(params.num_jobs) +
+         ", processors = " + std::to_string(params.num_processors) +
+         ", horizon = " + std::to_string(params.horizon) +
+         ", windows = " + std::to_string(params.windows_per_job) +
+         ", window_length = " + std::to_string(params.window_length);
+}
+
 SchedulingInstance random_instance(const RandomInstanceParams& params,
                                    util::Rng& rng) {
-  // With no window to draw, or none that lands on a slot, the redraw loop
-  // below would never end; refuse in every build type instead.
-  if (params.num_processors < 1 || params.horizon < 1 ||
-      params.windows_per_job < 1 || params.window_length < 1) {
-    std::fprintf(stderr,
-                 "random_instance: processors, horizon, windows and "
-                 "window_length must be >= 1, but processors = %d, horizon "
-                 "= %d, windows = %d, window_length = %d\n",
-                 params.num_processors, params.horizon,
-                 params.windows_per_job, params.window_length);
+  if (const std::string why = random_instance_violation(params);
+      !why.empty()) {
+    std::fprintf(stderr, "random_instance: %s\n", why.c_str());
     std::abort();
   }
   std::vector<Job> jobs;

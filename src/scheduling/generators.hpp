@@ -5,6 +5,7 @@
 // motivation 2), and agreeable one-interval instances for the DP comparator.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "scheduling/gap_dp.hpp"
@@ -26,12 +27,18 @@ struct RandomInstanceParams {
   double max_value = 1.0;
 };
 
+/// Empty when random_instance can draw from `params`; otherwise the reason,
+/// naming the values: jobs must be >= 0, and processors, horizon,
+/// windows_per_job and window_length >= 1 (with fewer there is no window
+/// to give a job and the window redraw would never end).
+std::string random_instance_violation(const RandomInstanceParams& params);
+
 /// Multi-interval instance: each job gets `windows_per_job` random windows on
 /// random processors; its admissible pairs are all slots inside them.
 /// The generator guarantees every job has at least one admissible slot.
-/// Aborts (in every build type) unless processors, horizon, windows_per_job
-/// and window_length are all >= 1; front ends reject other parameters
-/// before any trial with engine::check_random_generator.
+/// Prints random_instance_violation and aborts (in every build type) when it
+/// is not empty; front ends reject such parameters before any trial with
+/// engine::check_random_generator.
 SchedulingInstance random_instance(const RandomInstanceParams& params,
                                    util::Rng& rng);
 

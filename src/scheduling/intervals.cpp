@@ -170,17 +170,4 @@ std::vector<AwakeInterval> min_cost_cover(const CoverSpans& spans,
   return result;
 }
 
-std::vector<AwakeInterval> min_cost_cover(int processor,
-                                          const std::vector<int>& required_times,
-                                          int horizon,
-                                          const CostModel& cost_model,
-                                          double* cost) {
-  if (required_times.empty()) {
-    *cost = 0.0;
-    return {};
-  }
-  return min_cost_cover(CoverSpans(processor, horizon, cost_model),
-                        required_times, cost);
-}
-
 }  // namespace ps::scheduling

@@ -121,13 +121,4 @@ std::vector<AwakeInterval> min_cost_cover(const CoverSpans& spans,
                                           const std::vector<int>& required_times,
                                           double* cost);
 
-/// The same cover with a table built for this one call (none when
-/// `required_times` is empty). Callers covering several time sets on one
-/// processor build a CoverSpans once instead.
-std::vector<AwakeInterval> min_cost_cover(int processor,
-                                          const std::vector<int>& required_times,
-                                          int horizon,
-                                          const CostModel& cost_model,
-                                          double* cost);
-
 }  // namespace ps::scheduling

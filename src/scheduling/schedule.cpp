@@ -37,10 +37,11 @@ void cover_assignment(const SchedulingInstance& instance,
   schedule->energy_cost = 0.0;
   for (int p = 0; p < instance.num_processors(); ++p) {
     auto& times = required[static_cast<std::size_t>(p)];
+    if (times.empty()) continue;
     std::sort(times.begin(), times.end());
     double c = 0.0;
-    const auto cover =
-        min_cost_cover(p, times, instance.horizon(), cost_model, &c);
+    const auto cover = min_cost_cover(
+        CoverSpans(p, instance.horizon(), cost_model), times, &c);
     schedule->energy_cost += c;
     schedule->intervals.insert(schedule->intervals.end(), cover.begin(),
                                cover.end());

@@ -35,10 +35,13 @@ using FileFiller = std::function<bool(std::FILE*)>;
 /// like any other write error.
 Status write_file_if_changed(const std::string& path, std::string_view bytes);
 
-/// The same for a file produced by a stream writer: `fill` writes into an
-/// in-memory stream, whose bytes then go through the comparison above. A
-/// false `fill` or a stream error is a runtime Status naming `path`, and
-/// the file is left untouched.
+/// The same for a file produced by a stream writer: `fill` streams into the
+/// temp file, which is then compared with `path` in fixed-size chunks (no
+/// whole-file buffer) and removed when they are equal, leaving `path`
+/// untouched; otherwise it is renamed into place as above. A symlink,
+/// device or FIFO at `path` is written through without a comparison. A
+/// false `fill` or a write error is a runtime Status naming `path`, and a
+/// file that would have been replaced is left untouched.
 Status write_file_if_changed(const std::string& path, const FileFiller& fill);
 
 }  // namespace ps::util

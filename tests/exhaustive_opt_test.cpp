@@ -40,9 +40,10 @@ double per_mask_cost(const SchedulingInstance& instance,
   }
   double cost = 0.0;
   for (int p = 0; p < instance.num_processors() && cost < stop_at; ++p) {
+    const auto& times = required[static_cast<std::size_t>(p)];
+    if (times.empty()) continue;
     double c = 0.0;
-    min_cost_cover(p, required[static_cast<std::size_t>(p)],
-                   instance.horizon(), cost_model, &c);
+    min_cost_cover(CoverSpans(p, instance.horizon(), cost_model), times, &c);
     cost += c;
   }
   return cost;
@@ -87,9 +88,11 @@ std::optional<Schedule> oracle_min_cost(const SchedulingInstance& instance,
   }
   for (int p = 0; p < instance.num_processors(); ++p) {
     auto& times = required[static_cast<std::size_t>(p)];
+    if (times.empty()) continue;
     std::sort(times.begin(), times.end());
     double c = 0.0;
-    auto cover = min_cost_cover(p, times, instance.horizon(), cost_model, &c);
+    auto cover =
+        min_cost_cover(CoverSpans(p, instance.horizon(), cost_model), times, &c);
     schedule.energy_cost += c;
     for (auto& iv : cover) schedule.intervals.push_back(iv);
   }

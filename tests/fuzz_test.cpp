@@ -134,7 +134,8 @@ TEST(FuzzMinCostCover, CoverIsAlwaysValidAndPriced) {
     }
     double cost = -1.0;
     const auto cover =
-        scheduling::min_cost_cover(0, required, horizon, model, &cost);
+        scheduling::min_cost_cover(scheduling::CoverSpans(0, horizon, model),
+                                   required, &cost);
     std::vector<char> awake(static_cast<std::size_t>(horizon), 0);
     double recomputed = 0.0;
     for (const auto& iv : cover) {

@@ -36,19 +36,23 @@ TEST(Generators, RandomInstanceShape) {
 }
 
 TEST(GeneratorsDeathTest, RandomInstanceRejectsSizesBelowOne) {
-  // Each of these left the window redraw loop with nothing to draw, so it
-  // spun forever; now the generator says why and aborts in every build.
-  const auto draw = [](int RandomInstanceParams::*field) {
+  // Each zero left the window redraw loop with nothing to draw, so it spun
+  // forever, and a negative job count threw from the reserve; now the
+  // generator says why and aborts in every build.
+  const auto draw = [](int RandomInstanceParams::*field, int value) {
     RandomInstanceParams params;
-    params.*field = 0;
+    params.*field = value;
     util::Rng rng(1);
     random_instance(params, rng);
   };
-  EXPECT_DEATH(draw(&RandomInstanceParams::windows_per_job), "windows = 0");
-  EXPECT_DEATH(draw(&RandomInstanceParams::horizon), "horizon = 0");
-  EXPECT_DEATH(draw(&RandomInstanceParams::window_length),
+  EXPECT_DEATH(draw(&RandomInstanceParams::windows_per_job, 0),
+               "windows = 0");
+  EXPECT_DEATH(draw(&RandomInstanceParams::horizon, 0), "horizon = 0");
+  EXPECT_DEATH(draw(&RandomInstanceParams::window_length, 0),
                "window_length = 0");
-  EXPECT_DEATH(draw(&RandomInstanceParams::num_processors), "processors = 0");
+  EXPECT_DEATH(draw(&RandomInstanceParams::num_processors, 0),
+               "processors = 0");
+  EXPECT_DEATH(draw(&RandomInstanceParams::num_jobs, -1), "jobs = -1");
 }
 
 TEST(Generators, FeasibleInstanceIsFeasible) {

@@ -149,7 +149,7 @@ TEST(Intervals, PoolDropsInfiniteCost) {
 TEST(MinCostCover, EmptyRequirementIsFree) {
   RestartCostModel model(2.0);
   double cost = -1.0;
-  EXPECT_TRUE(min_cost_cover(0, {}, 10, model, &cost).empty());
+  EXPECT_TRUE(min_cost_cover(CoverSpans(0, 10, model), {}, &cost).empty());
   EXPECT_DOUBLE_EQ(cost, 0.0);
 }
 
@@ -157,7 +157,7 @@ TEST(MinCostCover, BridgesShortGapsUnderRestartCost) {
   // Slots {1, 3}: bridging the 1-slot gap costs 1 < alpha=5, so one interval.
   RestartCostModel model(5.0);
   double cost = 0.0;
-  const auto cover = min_cost_cover(0, {1, 3}, 10, model, &cost);
+  const auto cover = min_cost_cover(CoverSpans(0, 10, model), {1, 3}, &cost);
   ASSERT_EQ(cover.size(), 1u);
   EXPECT_EQ(cover[0], (AwakeInterval{0, 1, 4}));
   EXPECT_DOUBLE_EQ(cost, 5.0 + 3.0);
@@ -167,7 +167,7 @@ TEST(MinCostCover, SleepsThroughLongGapsUnderRestartCost) {
   // Slots {0, 9}: gap of 8 > alpha=2, so two singleton intervals.
   RestartCostModel model(2.0);
   double cost = 0.0;
-  const auto cover = min_cost_cover(0, {0, 9}, 10, model, &cost);
+  const auto cover = min_cost_cover(CoverSpans(0, 10, model), {0, 9}, &cost);
   ASSERT_EQ(cover.size(), 2u);
   EXPECT_DOUBLE_EQ(cost, 2.0 * (2.0 + 1.0));
 }
@@ -186,7 +186,8 @@ TEST(MinCostCover, ExactAgainstExhaustiveUnderRandomPrices) {
       if (rng.bernoulli(0.4)) required.push_back(t);
     }
     double dp_cost = 0.0;
-    const auto cover = min_cost_cover(0, required, horizon, model, &dp_cost);
+    const auto cover =
+        min_cost_cover(CoverSpans(0, horizon, model), required, &dp_cost);
 
     // Brute force: every subset of slots containing `required`, priced as
     // maximal runs (optimal for any cost model? no — only as a sanity upper

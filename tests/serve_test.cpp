@@ -269,18 +269,22 @@ TEST(SolveService, GeneratorRequestsTheGeneratorCannotDrawAreUsage) {
   EXPECT_TRUE(status.ok()) << status.message();
 
   // The random (not planted) generator has no window to draw with any of
-  // these below 1; it would redraw forever instead of answering.
+  // the sizes below 1, where it would redraw forever instead of answering,
+  // and cannot reserve a negative number of jobs.
+  const std::pair<const char*, int> undrawable[] = {
+      {"windows", 0}, {"horizon", 0}, {"window_length", 0},
+      {"processors", 0}, {"jobs", -1}};
   for (const char* solver : {"budget.value", "frontier.primal_dual",
                              "hiring.online", "hiring.naive"}) {
-    for (const char* size :
-         {"windows", "horizon", "window_length", "processors"}) {
+    for (const auto& [name, value] : undrawable) {
       request = generator_request("no-window");
       request.solver = solver;
       request.trials = 1;
-      request.params.set(size, 0.0);
+      request.params.set(name, value);
       status = service.solve(request, response);
-      EXPECT_EQ(status.code(), Status::Code::kUsage) << solver << " " << size;
-      EXPECT_NE(status.message().find(std::string(size) + " = 0"),
+      EXPECT_EQ(status.code(), Status::Code::kUsage) << solver << " " << name;
+      EXPECT_NE(status.message().find(std::string(name) + " = " +
+                                      std::to_string(value)),
                 std::string::npos)
           << status.message();
     }

@@ -552,6 +552,51 @@ TEST(WriteFileIfChanged, ChangedLongerShorterAndMissingFilesAreReplaced) {
   }
 }
 
+TEST(WriteFileIfChanged, StreamedFilesAreComparedThroughTheTempFile) {
+  const std::string dir = fresh_dir("streamed");
+  const std::string path = dir + "/out.txt";
+  const auto put = [](const std::string& bytes) -> FileFiller {
+    return [bytes](std::FILE* out) {
+      return std::fwrite(bytes.data(), 1, bytes.size(), out) == bytes.size();
+    };
+  };
+  const std::string bytes(100000, 'x');  // spans several compare chunks
+  ASSERT_TRUE(write_file_if_changed(path, put(bytes)).ok());
+  const struct timespec old_times[2] = {{1000000000, 0}, {1000000000, 0}};
+  ASSERT_EQ(::utimensat(AT_FDCWD, path.c_str(), old_times, 0), 0);
+  struct stat before;
+  ASSERT_EQ(::stat(path.c_str(), &before), 0);
+
+  // The same bytes: the temp file is dropped and the file stays as it was.
+  ASSERT_TRUE(write_file_if_changed(path, put(bytes)).ok());
+  struct stat after;
+  ASSERT_EQ(::stat(path.c_str(), &after), 0);
+  EXPECT_EQ(after.st_ino, before.st_ino);
+  EXPECT_EQ(after.st_mtim.tv_sec, 1000000000);
+  EXPECT_EQ(entries_in(dir), 1u) << "a temp file was left behind";
+
+  // The same size with the last byte changed, longer and shorter: replaced.
+  std::string same_size = bytes;
+  same_size.back() = 'y';
+  for (const std::string& next :
+       {same_size, same_size + "tail", std::string("short")}) {
+    ASSERT_TRUE(write_file_if_changed(path, put(next)).ok());
+    EXPECT_EQ(slurp(path), next);
+    EXPECT_EQ(entries_in(dir), 1u) << "a temp file was left behind";
+  }
+  ASSERT_EQ(::stat(path.c_str(), &after), 0);
+  EXPECT_NE(after.st_ino, before.st_ino);
+
+  // A filler that gives up: an error naming the path, the file untouched.
+  const Status status = write_file_if_changed(
+      path, [](std::FILE* out) { return std::fputs("torn", out) < 0; });
+  EXPECT_EQ(status.code(), Status::Code::kRuntime);
+  EXPECT_NE(status.message().find(path), std::string::npos)
+      << status.message();
+  EXPECT_EQ(slurp(path), "short");
+  EXPECT_EQ(entries_in(dir), 1u) << "a temp file was left behind";
+}
+
 TEST(WriteFileIfChanged, ReplacementKeepsThePermissionBits) {
   const std::string dir = fresh_dir("mode");
   const std::string path = dir + "/out.txt";
