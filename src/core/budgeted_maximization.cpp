@@ -34,6 +34,39 @@ double SetFunctionUtility::gain_of(const std::vector<int>& items) const {
   return f_.value(augmented) - current_value_;
 }
 
+void SetFunctionUtility::gains_of(const CandidateSet* const* cands,
+                                  std::size_t n, double* out) const {
+  if (incremental_ == nullptr) {
+    IncrementalUtility::gains_of(cands, n, out);
+    return;
+  }
+  // Single-item candidates are priced kBatch at a time by values_with, in
+  // stack buffers; the others take gain_of's full-value path.
+  constexpr std::size_t kBatch = 64;
+  int items[kBatch];
+  std::size_t slots[kBatch];
+  double values[kBatch];
+  std::size_t count = 0;
+  const auto flush = [&] {
+    incremental_->values_with(items, count, values);
+    for (std::size_t k = 0; k < count; ++k) {
+      out[slots[k]] = values[k] - current_value_;
+    }
+    count = 0;
+  };
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::vector<int>& list = cands[j]->items;
+    if (list.size() != 1) {
+      out[j] = gain_of(list);
+      continue;
+    }
+    items[count] = list.front();
+    slots[count] = j;
+    if (++count == kBatch) flush();
+  }
+  if (count > 0) flush();
+}
+
 void SetFunctionUtility::commit(const std::vector<int>& items) {
   if (incremental_ == nullptr) {
     for (int item : items) set_.insert(item);
@@ -91,38 +124,53 @@ struct GreedyState {
   }
 };
 
+/// Candidates per gains_of() call in the plain sweep, and the unit of work
+/// a pool thread claims when the sweep is threaded.
+constexpr std::size_t kSweepBlock = 256;
+
 void run_plain(GreedyState& state, std::size_t num_threads) {
   const std::size_t m = state.candidates.size();
-  std::vector<double> raw_gains(m);
+  // The unpicked candidates in index order, their indices and raw gains.
+  std::vector<const CandidateSet*> open;
+  std::vector<int> open_index;
+  std::vector<double> raw_gains;
+  open.reserve(m);
+  open_index.reserve(m);
   // One transient pool reused across rounds when parallel.
   std::unique_ptr<util::ThreadPool> pool;
   if (num_threads > 1) pool = std::make_unique<util::ThreadPool>(num_threads);
 
   while (!state.done()) {
-    auto evaluate = [&](std::size_t i) {
-      raw_gains[i] =
-          state.picked[i]
-              ? -1.0
-              : state.utility.gain_of(state.candidates[i].items);
-    };
-    if (pool) {
-      pool->parallel_for(0, m, evaluate);
-    } else {
-      for (std::size_t i = 0; i < m; ++i) evaluate(i);
-    }
+    open.clear();
+    open_index.clear();
     for (std::size_t i = 0; i < m; ++i) {
-      if (!state.picked[i]) ++state.result.gain_evaluations;
+      if (state.picked[i]) continue;
+      open.push_back(&state.candidates[i]);
+      open_index.push_back(static_cast<int>(i));
     }
+    raw_gains.resize(open.size());
+    auto evaluate = [&](std::size_t block) {
+      const std::size_t first = block * kSweepBlock;
+      state.utility.gains_of(open.data() + first,
+                             std::min(kSweepBlock, open.size() - first),
+                             raw_gains.data() + first);
+    };
+    const std::size_t blocks = (open.size() + kSweepBlock - 1) / kSweepBlock;
+    if (pool) {
+      pool->parallel_for(0, blocks, evaluate);
+    } else {
+      for (std::size_t b = 0; b < blocks; ++b) evaluate(b);
+    }
+    state.result.gain_evaluations += open.size();
 
     int best = -1;
     double best_ratio = 0.0;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (state.picked[i]) continue;
-      const double gain = state.clipped_gain(raw_gains[i]);
+    for (std::size_t j = 0; j < open.size(); ++j) {
+      const double gain = state.clipped_gain(raw_gains[j]);
       if (gain <= kGainTol) continue;
-      const double ratio = gain / state.candidates[i].cost;
+      const double ratio = gain / open[j]->cost;
       if (best == -1 || ratio > best_ratio) {
-        best = static_cast<int>(i);
+        best = open_index[j];
         best_ratio = ratio;
       }
     }
@@ -148,10 +196,16 @@ void run_lazy(GreedyState& state) {
   };
   std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)> heap(cmp);
 
-  for (std::size_t i = 0; i < state.candidates.size(); ++i) {
-    const double gain =
-        state.clipped_gain(state.utility.gain_of(state.candidates[i].items));
-    ++state.result.gain_evaluations;
+  // The first sweep prices every candidate against the same working set:
+  // one batch.
+  const std::size_t m = state.candidates.size();
+  std::vector<const CandidateSet*> all(m);
+  for (std::size_t i = 0; i < m; ++i) all[i] = &state.candidates[i];
+  std::vector<double> raw_gains(m);
+  state.utility.gains_of(all.data(), m, raw_gains.data());
+  state.result.gain_evaluations += m;
+  for (std::size_t i = 0; i < m; ++i) {
+    const double gain = state.clipped_gain(raw_gains[i]);
     if (gain > kGainTol) {
       heap.push({gain / state.candidates[i].cost, static_cast<int>(i), 0});
     }

@@ -21,9 +21,11 @@
 //
 // Engineering: the greedy talks to the utility through IncrementalUtility so
 // callers can supply an efficient what-if evaluator (the scheduling reduction
-// uses matching-oracle cloning); a lazy (CELF-style) mode exploits that
-// clipped gains are non-increasing, and a parallel mode fans candidate
-// evaluation across a thread pool.
+// prices a candidate on a scratch copy of the incremental matching oracle,
+// and a run of candidates that extend one another on one copy); each sweep
+// over the open candidates is batched through gains_of(); a lazy
+// (CELF-style) mode exploits that clipped gains are non-increasing, and a
+// parallel mode fans the plain sweep's blocks across a thread pool.
 #pragma once
 
 #include <cstddef>
@@ -58,22 +60,34 @@ class IncrementalUtility {
   /// F(S ∪ items) - F(S), without changing the working set.
   virtual double gain_of(const std::vector<int>& items) const = 0;
 
+  /// out[j] = gain_of(cands[j]->items) for j < n, bit for bit: the batch
+  /// the greedy's sweeps price. The default loops over gain_of(); an
+  /// override may share work between the candidates of one batch but must
+  /// return the same doubles. Safe to call concurrently, like gain_of().
+  virtual void gains_of(const CandidateSet* const* cands, std::size_t n,
+                        double* out) const {
+    for (std::size_t j = 0; j < n; ++j) out[j] = gain_of(cands[j]->items);
+  }
+
   /// S <- S ∪ items.
   virtual void commit(const std::vector<int>& items) = 0;
 };
 
 /// IncrementalUtility over a SetFunction value oracle. When `f` offers an
 /// IncrementalEvaluator, a single-item gain_of is value_with(item) -
-/// current() and commit adds only the new items, one value_with for the
-/// new value; otherwise each query evaluates F(S ∪ items) from scratch.
-/// Both give the doubles, and the value-call counts under a CountingOracle,
-/// of one value() per gain_of and per commit.
+/// current(), gains_of prices its single-item candidates with values_with,
+/// and commit adds only the new items, one value_with for the new value;
+/// otherwise each query evaluates F(S ∪ items) from scratch. Both give the
+/// doubles, and the value-call counts under a CountingOracle, of one
+/// value() per gain_of, per candidate of gains_of and per commit.
 class SetFunctionUtility final : public IncrementalUtility {
  public:
   explicit SetFunctionUtility(const submodular::SetFunction& f);
 
   double current() const override { return current_value_; }
   double gain_of(const std::vector<int>& items) const override;
+  void gains_of(const CandidateSet* const* cands, std::size_t n,
+                double* out) const override;
   void commit(const std::vector<int>& items) override;
 
   const submodular::ItemSet& working_set() const { return set_; }
@@ -91,7 +105,8 @@ struct BudgetedMaximizationOptions {
   double epsilon = 0.01;
   /// Lazy evaluation with stale upper bounds (identical output, fewer calls).
   bool lazy = true;
-  /// Worker threads for the non-lazy evaluation sweep (1 = serial).
+  /// Worker threads for the non-lazy evaluation sweep (1 = serial); they
+  /// split each round's sweep into fixed blocks of candidates.
   std::size_t num_threads = 1;
 };
 

@@ -192,6 +192,27 @@ FunctionSolver::CheckFn check_feasible(FeasibleDefaults d) {
   };
 }
 
+/// The Solver::check_params of a solver drawing CoverageFunction::random
+/// with items, elements and cover read from the params (and these
+/// defaults).
+FunctionSolver::CheckFn check_coverage_params(int items, int elements,
+                                              int cover) {
+  return [=](const ParamMap& params) {
+    return check_coverage_generator(params.get_int("items", items),
+                                    params.get_int("elements", elements),
+                                    params.get_int("cover", cover));
+  };
+}
+
+/// The same for a solver drawing `n` items of 8 elements each out of
+/// 2 * n, `n` read from the param `size` (default `n`).
+FunctionSolver::CheckFn check_coverage_sizes(const char* size, int n) {
+  return [=](const ParamMap& params) {
+    const int items = params.get_int(size, n);
+    return check_coverage_generator(items, 2 * items, 8);
+  };
+}
+
 constexpr FeasibleDefaults kIncrementalMatching{16, 3, 0, 4};
 constexpr FeasibleDefaults kParallelGreedy{40, 3, 60, 5};
 constexpr FeasibleDefaults kCandidatePruning{20, 3, 24, 4};
@@ -244,7 +265,7 @@ void register_ablation(SolverRegistry& registry) {
     out.set_metric("plain_ms", plain_ms);
     out.set_metric("lazy_ms", lazy_ms);
     return out;
-  });
+  }, check_coverage_sizes("items", 100));
 
   registry.add_fn("ablation.incremental_matching", [](const ParamMap& params,
                                                       util::Rng& instance_rng,
@@ -441,6 +462,10 @@ void register_bicriteria(SolverRegistry& registry) {
     out.set_metric("utility_frac", result.utility / x);
     out.set_metric("bound_2log2inveps", 2.0 * std::log2(1.0 / eps));
     return out;
+  }, [](const ParamMap& params) {
+    return check_coverage_generator(
+        std::min(params.get_int("sets", 15), 20),
+        params.get_int("elements", 18), params.get_int("cover", 5));
   });
 }
 
@@ -909,7 +934,7 @@ void register_secretary_extensions(SolverRegistry& registry) {
     out.oracle_calls = static_cast<double>(result.oracle_calls);
     out.set_metric("rank", static_cast<double>(m->rank()));
     return out;
-  });
+  }, check_coverage_params(48, 40, 5));
 
   registry.add_fn("secretary.matroid_intersection",
                   [](const ParamMap& params, util::Rng& instance_rng,
@@ -934,7 +959,7 @@ void register_secretary_extensions(SolverRegistry& registry) {
     out.reference = offline;
     out.oracle_calls = static_cast<double>(result.oracle_calls);
     return out;
-  });
+  }, check_coverage_params(48, 40, 5));
 
   registry.add_fn("secretary.multi_knapsack", [](const ParamMap& params,
                                                  util::Rng& instance_rng,
@@ -977,7 +1002,7 @@ void register_secretary_extensions(SolverRegistry& registry) {
                        ? 1.0
                        : 0.0);
     return out;
-  });
+  }, check_coverage_params(50, 45, 5));
 
   registry.add_fn("secretary.subadditive", [](const ParamMap& params,
                                               util::Rng& instance_rng,
@@ -1102,7 +1127,7 @@ void register_micro(SolverRegistry& registry) {
     out.objective = sum / reps;
     out.oracle_calls = static_cast<double>(reps);
     return out;
-  });
+  }, check_coverage_sizes("n", 256));
 
   registry.add_fn("micro.lazy_greedy", [](const ParamMap& params,
                                           util::Rng& instance_rng,
@@ -1116,7 +1141,7 @@ void register_micro(SolverRegistry& registry) {
     out.objective = result.value;
     out.oracle_calls = static_cast<double>(result.oracle_calls);
     return out;
-  });
+  }, check_coverage_sizes("n", 256));
 
   registry.add_fn("micro.greedy_coverage", [](const ParamMap& params,
                                               util::Rng& instance_rng,
@@ -1133,7 +1158,7 @@ void register_micro(SolverRegistry& registry) {
     out.objective = result.value;
     out.oracle_calls = static_cast<double>(result.oracle_calls);
     return out;
-  });
+  }, check_coverage_sizes("n", 128));
 
   registry.add_fn("micro.greedy_facility", [](const ParamMap& params,
                                               util::Rng& instance_rng,

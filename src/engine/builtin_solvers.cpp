@@ -86,6 +86,16 @@ submodular::CoverageFunction random_coverage(const ParamMap& params,
       params.get_int("cover", 6), params.get("max_weight", 1.0), rng);
 }
 
+/// The Solver::check_params of a solver drawing random_coverage(params,
+/// rng, default_items).
+FunctionSolver::CheckFn check_coverage(int default_items = 60) {
+  return [default_items](const ParamMap& params) {
+    return check_coverage_generator(params.get_int("items", default_items),
+                                    params.get_int("elements", 120),
+                                    params.get_int("cover", 6));
+  };
+}
+
 TrialResult from_greedy(const submodular::GreedyResult& result,
                         double reference) {
   TrialResult out;
@@ -104,14 +114,14 @@ void register_submodular(SolverRegistry& registry) {
     return from_greedy(
         submodular::greedy_max_cardinality(f, params.get_int("k", 10)),
         f.total_weight());
-  });
+  }, check_coverage());
   registry.add_fn("submodular.lazy", [](const ParamMap& params,
                                         util::Rng& instance_rng, util::Rng&) {
     const auto f = random_coverage(params, instance_rng);
     return from_greedy(
         submodular::lazy_greedy_max_cardinality(f, params.get_int("k", 10)),
         f.total_weight());
-  });
+  }, check_coverage());
   registry.add_fn("submodular.stochastic", [](const ParamMap& params,
                                               util::Rng& instance_rng,
                                               util::Rng& algo_rng) {
@@ -120,7 +130,7 @@ void register_submodular(SolverRegistry& registry) {
                            f, params.get_int("k", 10),
                            params.get("epsilon", 0.1), algo_rng),
                        f.total_weight());
-  });
+  }, check_coverage());
 }
 
 // ---------------------------------------------------------------------------
@@ -168,7 +178,7 @@ void register_core(SolverRegistry& registry) {
     out.oracle_calls = static_cast<double>(result.gain_evaluations);
     out.feasible = result.reached_target;
     return out;
-  });
+  }, check_coverage(/*default_items=*/40));
 }
 
 // ---------------------------------------------------------------------------
@@ -230,6 +240,11 @@ void register_secretary(SolverRegistry& registry) {
     out.reference = submodular::lazy_greedy_max_cardinality(*f, k).value;
     out.oracle_calls = static_cast<double>(result.oracle_calls);
     return out;
+  }, [](const ParamMap& params) {
+    // Objectives 1 and 2 draw no coverage function.
+    const int objective = params.get_int("objective", 0);
+    if (objective == 1 || objective == 2) return Status();
+    return check_coverage(/*default_items=*/40)(params);
   });
 
   registry.add_fn("secretary.knapsack", [](const ParamMap& params,
@@ -251,7 +266,7 @@ void register_secretary(SolverRegistry& registry) {
         secretary::offline_knapsack_greedy(f, weights, capacity).value;
     out.oracle_calls = static_cast<double>(result.oracle_calls);
     return out;
-  });
+  }, check_coverage(/*default_items=*/40));
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 #include "scheduling/cost_model.hpp"
 #include "scheduling/generators.hpp"
 #include "scheduling/instance_io.hpp"
+#include "submodular/coverage.hpp"
 
 namespace ps::engine {
 namespace {
@@ -99,6 +100,12 @@ Status check_feasible_generator(const scheduling::RandomInstanceParams& gen) {
 
 Status check_random_generator(const scheduling::RandomInstanceParams& gen) {
   const std::string why = scheduling::random_instance_violation(gen);
+  return why.empty() ? Status() : Status::usage(why);
+}
+
+Status check_coverage_generator(int items, int elements, int cover) {
+  const std::string why =
+      submodular::coverage_generator_violation(items, elements, cover);
   return why.empty() ? Status() : Status::usage(why);
 }
 

@@ -60,6 +60,12 @@ Status check_feasible_generator(const scheduling::RandomInstanceParams& gen);
 /// solver that generates random instances.
 Status check_random_generator(const scheduling::RandomInstanceParams& gen);
 
+/// Usage error, with submodular::coverage_generator_violation's text,
+/// unless CoverageFunction::random can draw `items` items of `cover`
+/// elements out of `elements`. The Solver::check_params of every solver
+/// that generates random coverage functions.
+Status check_coverage_generator(int items, int elements, int cover);
+
 struct ReferenceCacheStats {
   std::size_t hits = 0;
   std::size_t misses = 0;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
-#include <queue>
 
 namespace ps::matching {
 
@@ -47,15 +46,40 @@ bool IncrementalMatchingOracle::try_augment_from(int x) {
   return false;
 }
 
-int IncrementalMatchingOracle::gain_of(const std::vector<int>& extra_x) const {
-  // gain_of runs concurrently across candidates under the greedy's pool, so
-  // the scratch copy is thread-local; assignment reuses its buffers, so
+IncrementalMatchingOracle& IncrementalMatchingOracle::scratch() {
+  // What-if queries run concurrently under the greedy's pool, so the
+  // scratch copy is thread-local; assignment reuses its buffers, so
   // steady-state queries never allocate.
-  thread_local IncrementalMatchingOracle scratch;
-  scratch = *this;
+  thread_local IncrementalMatchingOracle oracle;
+  return oracle;
+}
+
+int IncrementalMatchingOracle::gain_of(const std::vector<int>& extra_x) const {
+  IncrementalMatchingOracle& what_if = scratch();
+  what_if = *this;
   int gain = 0;
-  for (int x : extra_x) gain += scratch.add_x(x);
+  for (int x : extra_x) gain += what_if.add_x(x);
   return gain;
+}
+
+void IncrementalMatchingOracle::gains_of(
+    const std::vector<int>* const* extra_lists, std::size_t n,
+    int* out) const {
+  IncrementalMatchingOracle& what_if = scratch();
+  const std::vector<int>* previous = nullptr;
+  for (std::size_t j = 0; j < n; ++j) {
+    const std::vector<int>& list = *extra_lists[j];
+    std::size_t from = 0;
+    if (previous != nullptr && previous->size() <= list.size() &&
+        std::equal(previous->begin(), previous->end(), list.begin())) {
+      from = previous->size();  // what_if holds S ∪ *previous
+    } else {
+      what_if = *this;
+    }
+    for (std::size_t k = from; k < list.size(); ++k) what_if.add_x(list[k]);
+    out[j] = what_if.size_ - size_;
+    previous = &list;
+  }
 }
 
 WeightedMatchingOracle::WeightedMatchingOracle(
@@ -68,26 +92,67 @@ WeightedMatchingOracle::WeightedMatchingOracle(
   assert(static_cast<int>(y_values.size()) == graph.num_y());
 }
 
-int WeightedMatchingOracle::best_reachable_free_job(
-    int x, std::vector<int>* parent_slot_of_job,
-    std::vector<int>* entry_job_of_slot) const {
+/// BFS bookkeeping of add_x, kept per thread so a search allocates nothing
+/// once the buffers reach the graph's size. An entry is valid only while
+/// its stamp equals `stamp`, so a new search starts by bumping the stamp
+/// instead of clearing O(|X| + |Y|) entries.
+struct WeightedMatchingOracle::Search {
+  std::vector<int> parent_slot_of_job;
+  std::vector<unsigned> job_stamp;
+  std::vector<int> entry_job_of_slot;
+  std::vector<unsigned> slot_stamp;
+  std::vector<int> slot_queue;
+  unsigned stamp = 0;
+
+  void start(std::size_t num_x, std::size_t num_y) {
+    if (job_stamp.size() < num_y) {
+      job_stamp.resize(num_y, 0);
+      parent_slot_of_job.resize(num_y);
+    }
+    if (slot_stamp.size() < num_x) {
+      slot_stamp.resize(num_x, 0);
+      entry_job_of_slot.resize(num_x);
+    }
+    if (++stamp == 0) {  // wrapped: no entry may look current
+      std::fill(job_stamp.begin(), job_stamp.end(), 0u);
+      std::fill(slot_stamp.begin(), slot_stamp.end(), 0u);
+      stamp = 1;
+    }
+    slot_queue.clear();
+  }
+  bool job_seen(int job) const {
+    return job_stamp[static_cast<std::size_t>(job)] == stamp;
+  }
+  bool slot_seen(int slot) const {
+    return slot_stamp[static_cast<std::size_t>(slot)] == stamp;
+  }
+  void see_job(int job, int parent_slot) {
+    job_stamp[static_cast<std::size_t>(job)] = stamp;
+    parent_slot_of_job[static_cast<std::size_t>(job)] = parent_slot;
+  }
+  void see_slot(int slot, int entry_job) {
+    slot_stamp[static_cast<std::size_t>(slot)] = stamp;
+    entry_job_of_slot[static_cast<std::size_t>(slot)] = entry_job;
+    slot_queue.push_back(slot);
+  }
+};
+
+int WeightedMatchingOracle::best_reachable_free_job(int x,
+                                                    Search& search) const {
   // Alternating BFS: slot --edge--> job --matched-edge--> slot ...
   // Collects all free jobs reachable from the free slot x; the best of them
   // is the job the new optimum saturates (Lemma 2.3.2's path endpoint).
-  parent_slot_of_job->assign(static_cast<std::size_t>(graph_->num_y()), -2);
-  entry_job_of_slot->assign(static_cast<std::size_t>(graph_->num_x()), -2);
-  std::queue<int> slot_queue;
-  slot_queue.push(x);
-  (*entry_job_of_slot)[static_cast<std::size_t>(x)] = -1;  // BFS root
+  search.start(static_cast<std::size_t>(graph_->num_x()),
+               static_cast<std::size_t>(graph_->num_y()));
+  search.see_slot(x, -1);  // BFS root
 
   int best_job = -1;
   double best_value = -1.0;
-  while (!slot_queue.empty()) {
-    const int s = slot_queue.front();
-    slot_queue.pop();
+  for (std::size_t head = 0; head < search.slot_queue.size(); ++head) {
+    const int s = search.slot_queue[head];
     for (int job : graph_->neighbors_of_x(s)) {
-      if ((*parent_slot_of_job)[static_cast<std::size_t>(job)] != -2) continue;
-      (*parent_slot_of_job)[static_cast<std::size_t>(job)] = s;
+      if (search.job_seen(job)) continue;
+      search.see_job(job, s);
       const int matched_slot = match_y_[static_cast<std::size_t>(job)];
       if (matched_slot == -1) {
         const double v = (*y_values_)[static_cast<std::size_t>(job)];
@@ -95,10 +160,8 @@ int WeightedMatchingOracle::best_reachable_free_job(
           best_value = v;
           best_job = job;
         }
-      } else if ((*entry_job_of_slot)[static_cast<std::size_t>(matched_slot)] ==
-                 -2) {
-        (*entry_job_of_slot)[static_cast<std::size_t>(matched_slot)] = job;
-        slot_queue.push(matched_slot);
+      } else if (!search.slot_seen(matched_slot)) {
+        search.see_slot(matched_slot, job);
       }
     }
   }
@@ -110,22 +173,22 @@ double WeightedMatchingOracle::add_x(int x) {
   if (active_x_.contains(x)) return 0.0;
   active_x_.insert(x);
 
-  std::vector<int> parent_slot_of_job, entry_job_of_slot;
-  const int job = best_reachable_free_job(x, &parent_slot_of_job,
-                                          &entry_job_of_slot);
+  thread_local Search search;
+  const int job = best_reachable_free_job(x, search);
   if (job == -1) return 0.0;
 
   // Augment along the discovered alternating path back to x, displacing the
   // previous occupant of each intermediate slot onto its discovery slot.
   int u = job;
   for (;;) {
-    const int s = parent_slot_of_job[static_cast<std::size_t>(u)];
+    const int s = search.parent_slot_of_job[static_cast<std::size_t>(u)];
     const int displaced =
         s == x ? -1 : match_x_[static_cast<std::size_t>(s)];
     match_x_[static_cast<std::size_t>(s)] = u;
     match_y_[static_cast<std::size_t>(u)] = s;
     if (s == x) break;
-    assert(displaced == entry_job_of_slot[static_cast<std::size_t>(s)]);
+    assert(displaced ==
+           search.entry_job_of_slot[static_cast<std::size_t>(s)]);
     u = displaced;
   }
   const double gain = (*y_values_)[static_cast<std::size_t>(job)];

@@ -18,8 +18,12 @@
 // jobs stay stamped until the next augmentation, so a run of failed add_x
 // calls costs O(E) in total rather than O(E) each; gain_of copies into a
 // reused thread-local scratch, O(|X| + |Y|) per query with no allocation.
+// gains_of prices a batch of slot lists, and a list that extends the one
+// before it continues on the same scratch, so a processor's intervals
+// [s, s+1), [s, s+2), ... cost one augmentation per slot in total.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "matching/bipartite_graph.hpp"
@@ -51,8 +55,20 @@ class IncrementalMatchingOracle {
   /// so concurrent calls on one oracle from different threads are safe.
   int gain_of(const std::vector<int>& extra_x) const;
 
+  /// out[j] = gain_of(*extra_lists[j]) for j < n. When a list starts with
+  /// the whole list before it, its scratch continues from that list's
+  /// state (S ∪ previous list) and adds only the rest. The answer is the
+  /// same: a gain is a difference of matching sizes, the rank of S ∪ list
+  /// in the transversal matroid minus that of S, which no choice of
+  /// augmenting paths changes. Thread-safety as gain_of; this oracle's own
+  /// matching is never touched.
+  void gains_of(const std::vector<int>* const* extra_lists, std::size_t n,
+                int* out) const;
+
  private:
-  IncrementalMatchingOracle() = default;  // gain_of's scratch
+  IncrementalMatchingOracle() = default;  // the what-if scratch
+  /// This thread's what-if scratch, shared by gain_of and gains_of.
+  static IncrementalMatchingOracle& scratch();
   bool try_augment_from(int x);
 
   const BipartiteGraph* graph_ = nullptr;
@@ -91,14 +107,14 @@ class WeightedMatchingOracle {
   double gain_of(const std::vector<int>& extra_x) const;
 
  private:
+  struct Search;
   // Alternating BFS from free slot x; returns the highest-value free job
-  // reachable, with parent pointers to rebuild the path, or -1.
-  int best_reachable_free_job(int x, std::vector<int>* parent_slot_of_job,
-                              std::vector<int>* entry_job_of_slot) const;
+  // reachable, or -1. `search` keeps the parent pointers that rebuild the
+  // path; its buffers are stamp-versioned and reused across calls.
+  int best_reachable_free_job(int x, Search& search) const;
 
   const BipartiteGraph* graph_;
   const std::vector<double>* y_values_;
-  std::vector<std::vector<int>> adj_y_;
   submodular::ItemSet active_x_;
   std::vector<int> match_x_;
   std::vector<int> match_y_;

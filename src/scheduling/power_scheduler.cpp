@@ -4,6 +4,15 @@
 
 namespace ps::scheduling {
 
+void MatchingOracleUtility::gains_of(const core::CandidateSet* const* cands,
+                                     std::size_t n, double* out) const {
+  std::vector<const std::vector<int>*> lists(n);
+  for (std::size_t j = 0; j < n; ++j) lists[j] = &cands[j]->items;
+  std::vector<int> gains(n);
+  oracle_.gains_of(lists.data(), n, gains.data());
+  for (std::size_t j = 0; j < n; ++j) out[j] = gains[j];
+}
+
 PowerScheduleResult schedule_all_jobs(const SchedulingInstance& instance,
                                       const CostModel& cost_model,
                                       const PowerSchedulerOptions& options) {

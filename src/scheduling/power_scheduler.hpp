@@ -17,8 +17,10 @@
 
 namespace ps::scheduling {
 
-/// IncrementalUtility over the cardinality matching oracle: gain queries
-/// clone the oracle and augment, which is the fast path the Lemma 2.2.2
+/// IncrementalUtility over the cardinality matching oracle: a gain query
+/// augments a thread-local scratch copy of the oracle, and a batch runs a
+/// chain of candidates that extend one another on one copy
+/// (IncrementalMatchingOracle::gains_of) — the fast path the Lemma 2.2.2
 /// structure makes possible (ablation A2 compares against the stateless
 /// recompute adapter).
 class MatchingOracleUtility final : public core::IncrementalUtility {
@@ -30,6 +32,8 @@ class MatchingOracleUtility final : public core::IncrementalUtility {
   double gain_of(const std::vector<int>& items) const override {
     return oracle_.gain_of(items);
   }
+  void gains_of(const core::CandidateSet* const* cands, std::size_t n,
+                double* out) const override;
   void commit(const std::vector<int>& items) override {
     for (int x : items) oracle_.add_x(x);
   }

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <numeric>
 
 namespace ps::submodular {
@@ -236,6 +238,58 @@ class CoverageIncremental final : public IncrementalEvaluator {
     return total;
   }
 
+  // Eight items at a time as eight lanes over the union of covered_ and
+  // their rows, in element order. A covered element adds its weight to
+  // every lane; any other element adds it to the lanes whose row holds it
+  // and +0.0 to the rest, which changes no lane (see
+  // IncrementalEvaluator::values_with). Each lane thus makes value_with()'s
+  // additions in value_with()'s order and is bit-identical to it, while
+  // the eight independent chains overlap instead of running one after
+  // another.
+  void values_with(const int* items, std::size_t n,
+                   double* out) const override {
+    if (num_members_ == 0) {
+      for (std::size_t j = 0; j < n; ++j) {
+        out[j] = row_sums_[static_cast<std::size_t>(items[j])];
+      }
+      return;
+    }
+    constexpr std::size_t kLanes = 8;
+    const std::uint64_t* cw = covered_.data();
+    for (std::size_t first = 0; first < n; first += kLanes) {
+      const std::size_t lanes = std::min(kLanes, n - first);
+      // A short final batch repeats its last item in the spare lanes and
+      // drops their sums.
+      const std::uint64_t* rows[kLanes];
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        rows[l] = f_.item_mask_words(items[first + std::min(l, lanes - 1)]);
+      }
+      double acc[kLanes] = {};
+      for (std::size_t w = 0; w < words_; ++w) {
+        std::uint64_t lane_bits[kLanes];
+        std::uint64_t bits = cw[w];
+        for (std::size_t l = 0; l < kLanes; ++l) {
+          lane_bits[l] = rows[l][w];
+          bits |= lane_bits[l];
+        }
+        while (bits) {
+          const int bit = __builtin_ctzll(bits);
+          const double weight =
+              f_.element_weight(static_cast<int>(w * 64) + bit);
+          if ((cw[w] >> bit) & 1) {
+            for (std::size_t l = 0; l < kLanes; ++l) acc[l] += weight;
+          } else {
+            for (std::size_t l = 0; l < kLanes; ++l) {
+              acc[l] += ((lane_bits[l] >> bit) & 1) ? weight : 0.0;
+            }
+          }
+          bits &= bits - 1;
+        }
+      }
+      for (std::size_t l = 0; l < lanes; ++l) out[first + l] = acc[l];
+    }
+  }
+
   void add(int item) override {
     ++num_members_;
     const std::uint64_t* row = f_.item_mask_words(item);
@@ -301,10 +355,26 @@ std::unique_ptr<IncrementalEvaluator> CoverageFunction::make_incremental()
   return std::make_unique<CoverageIncremental>(*this);
 }
 
+std::string coverage_generator_violation(int items, int elements,
+                                         int cover) {
+  if (items >= 0 && elements >= 0 && cover >= 0 && cover <= elements) {
+    return {};
+  }
+  return "items, elements and cover must be >= 0 and cover <= elements, "
+         "but items = " +
+         std::to_string(items) + ", elements = " + std::to_string(elements) +
+         ", cover = " + std::to_string(cover);
+}
+
 CoverageFunction CoverageFunction::random(int num_items, int num_elements,
                                           int cover_size, double max_weight,
                                           util::Rng& rng) {
-  assert(cover_size <= num_elements);
+  if (const std::string why =
+          coverage_generator_violation(num_items, num_elements, cover_size);
+      !why.empty()) {
+    std::fprintf(stderr, "CoverageFunction::random: %s\n", why.c_str());
+    std::abort();
+  }
   // Builds the flat mask array directly — the per-item covers are never
   // materialized as vectors, so generation performs two bulk allocations
   // (masks + weights) regardless of num_items. Draw order matches the

@@ -3,12 +3,18 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "submodular/set_function.hpp"
 #include "util/rng.hpp"
 
 namespace ps::submodular {
+
+/// Why CoverageFunction::random cannot draw `items` items of `cover`
+/// elements each out of `elements`, or empty when it can: every size must
+/// be >= 0 and cover <= elements.
+std::string coverage_generator_violation(int items, int elements, int cover);
 
 /// F(S) = total weight of elements covered by the union of the items' sets.
 /// Monotone and submodular. With unit weights this is exactly the Max-Cover /
@@ -37,7 +43,9 @@ class CoverageFunction final : public SetFunction {
   /// per-element coverage counts of the working set, so value_with() is
   /// O(covered) with no |S| factor and no allocation, and gain() is
   /// O(newly covered). gain() is bit-identical to marginal(); value_with()
-  /// is bit-identical to value() on the grown set. Supports remove().
+  /// is bit-identical to value() on the grown set, and so is each lane of
+  /// values_with(), which runs eight items per pass over the elements.
+  /// Supports remove().
   std::unique_ptr<IncrementalEvaluator> make_incremental() const override;
 
   /// Weight of the whole element universe, i.e. F(full set) upper bound.
@@ -62,6 +70,9 @@ class CoverageFunction final : public SetFunction {
 
   /// Random instance: `num_items` items, each covering a uniform subset of
   /// size `cover_size` of `num_elements` elements, weights in [1, max_weight].
+  /// Prints coverage_generator_violation and aborts (in every build type)
+  /// when it is not empty; front ends reject such parameters before any
+  /// trial with engine::check_coverage_generator.
   static CoverageFunction random(int num_items, int num_elements,
                                  int cover_size, double max_weight,
                                  util::Rng& rng);

@@ -27,6 +27,17 @@ class ValueWithEngine {
     return f_.value(scratch_);
   }
 
+  /// out[j] = value_with(chosen, items[j]) for j < n, as one batch when
+  /// the function has an incremental evaluator.
+  void values_with(const ItemSet& chosen, const int* items, std::size_t n,
+                   double* out) {
+    if (incremental_ != nullptr) {
+      incremental_->values_with(items, n, out);
+      return;
+    }
+    for (std::size_t j = 0; j < n; ++j) out[j] = value_with(chosen, items[j]);
+  }
+
   /// Records that the caller committed `item` into its chosen set.
   void picked(int item) {
     if (incremental_ != nullptr) incremental_->add(item);
@@ -47,16 +58,26 @@ GreedyResult greedy_max_cardinality(const SetFunction& f, int k) {
   double current = f.value(result.chosen);
   ++result.oracle_calls;
   ValueWithEngine engine(f);
+  // Each round prices the unchosen items as one batch.
+  std::vector<int> open;
+  std::vector<double> values;
+  open.reserve(static_cast<std::size_t>(n));
 
   for (int round = 0; round < k; ++round) {
+    open.clear();
+    for (int i = 0; i < n; ++i) {
+      if (!result.chosen.contains(i)) open.push_back(i);
+    }
+    values.resize(open.size());
+    engine.values_with(result.chosen, open.data(), open.size(),
+                       values.data());
+    result.oracle_calls += open.size();
     int best_item = -1;
     double best_gain = 0.0;
-    for (int i = 0; i < n; ++i) {
-      if (result.chosen.contains(i)) continue;
-      const double gain = engine.value_with(result.chosen, i) - current;
-      ++result.oracle_calls;
+    for (std::size_t j = 0; j < open.size(); ++j) {
+      const double gain = values[j] - current;
       if (best_item == -1 || gain > best_gain) {
-        best_item = i;
+        best_item = open[j];
         best_gain = gain;
       }
     }

@@ -15,6 +15,12 @@ class CountingOracle::CountingIncremental final : public IncrementalEvaluator {
     return inner_->value_with(item);
   }
 
+  void values_with(const int* items, std::size_t n,
+                   double* out) const override {
+    value_calls_.fetch_add(n, std::memory_order_relaxed);
+    inner_->values_with(items, n, out);
+  }
+
   void add(int item) override { inner_->add(item); }
   void remove(int item) override { inner_->remove(item); }
 

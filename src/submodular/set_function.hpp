@@ -45,6 +45,21 @@ class IncrementalEvaluator {
   /// Safe to call concurrently with other value_with() calls.
   virtual double value_with(int item) const = 0;
 
+  /// out[j] = value_with(items[j]) for j < n, bit for bit: the batch entry
+  /// point of the greedy sweeps, which price every open item per round.
+  /// The default loops over value_with(); an override may share work
+  /// across the batch only where each out[j] stays the same double. (The
+  /// coverage override sums eight items as eight lanes over one pass of
+  /// the elements, and a lane adds +0.0 for an element outside its item's
+  /// union. That changes no lane: its sum starts at +0.0, so it is never
+  /// -0.0, and x + 0.0 == x for every other x.) Counts as n value_with()
+  /// queries (CountingOracle charges n calls). Const like value_with(),
+  /// with the same concurrency guarantee.
+  virtual void values_with(const int* items, std::size_t n,
+                           double* out) const {
+    for (std::size_t j = 0; j < n; ++j) out[j] = value_with(items[j]);
+  }
+
   /// S ← S ∪ {item}.
   virtual void add(int item) = 0;
 
@@ -115,9 +130,10 @@ class CountingOracle final : public SetFunction {
     return inner_.marginal(s, item);
   }
 
-  /// Forwards the inner fast path; each value_with()/gain() query counts as
-  /// one value call, matching the single value() it replaces in the greedy
-  /// loops so instrumented call counts stay identical either way.
+  /// Forwards the inner fast path; each value_with()/gain() query, and each
+  /// item of a values_with() batch, counts as one value call, matching the
+  /// single value() it replaces in the greedy loops so instrumented call
+  /// counts stay identical either way.
   std::unique_ptr<IncrementalEvaluator> make_incremental() const override;
 
   /// Number of value() calls since construction or reset().

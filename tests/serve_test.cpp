@@ -289,6 +289,35 @@ TEST(SolveService, GeneratorRequestsTheGeneratorCannotDrawAreUsage) {
           << status.message();
     }
   }
+
+  // The coverage generator cannot draw more covered elements per item than
+  // there are elements; each of these wrote past a mask row before.
+  const std::pair<const char*, engine::ParamMap> no_room[] = {
+      {"submodular.greedy", {{"cover", 500.0}}},
+      {"secretary.submodular", {{"cover", 500.0}}},
+      {"core.bicriteria", {{"cover", 500.0}}},
+      {"ablation.lazy_vs_plain", {{"items", 2.0}}},
+      {"micro.greedy_coverage", {{"n", 3.0}}},
+      {"micro.coverage_eval", {{"n", 2.0}}},
+      {"secretary.matroid", {{"items", -1.0}}}};
+  for (const auto& [solver, params] : no_room) {
+    request = generator_request("no-room");
+    request.solver = solver;
+    request.trials = 1;
+    request.params = params;
+    status = service.solve(request, response);
+    EXPECT_EQ(status.code(), Status::Code::kUsage) << solver;
+    EXPECT_NE(status.message().find("cover <= elements, but items = "),
+              std::string::npos)
+        << status.message();
+  }
+  // secretary.submodular draws no coverage function for objective 1 or 2.
+  request = generator_request("facility");
+  request.solver = "secretary.submodular";
+  request.trials = 1;
+  request.params = {{"cover", 500.0}, {"objective", 1.0}};
+  status = service.solve(request, response);
+  EXPECT_TRUE(status.ok()) << status.message();
 }
 
 // ---------------------------------------------------------------------------

@@ -40,6 +40,23 @@ TEST(Coverage, WeightedElements) {
   EXPECT_DOUBLE_EQ(f.marginal(ItemSet(3, {0}), 2), 5.0);
 }
 
+TEST(CoverageDeathTest, RandomRejectsSizesItCannotDraw) {
+  // cover > elements wrote past the item's mask row; a negative size asked
+  // for a negative sample or allocation. Now the generator says why and
+  // aborts in every build.
+  const auto draw = [](int items, int elements, int cover) {
+    util::Rng rng(1);
+    CoverageFunction::random(items, elements, cover, 2.0, rng);
+  };
+  EXPECT_DEATH(draw(3, 6, 8), "elements = 6, cover = 8");
+  EXPECT_DEATH(draw(60, 120, 500), "cover = 500");
+  EXPECT_DEATH(draw(-1, 10, 2), "items = -1");
+  EXPECT_DEATH(draw(4, -2, 0), "elements = -2");
+  EXPECT_DEATH(draw(4, 10, -1), "cover = -1");
+  EXPECT_EQ(coverage_generator_violation(4, 10, 10), "");
+  EXPECT_EQ(coverage_generator_violation(0, 0, 0), "");
+}
+
 TEST(FacilityLocation, ValuesAndMarginals) {
   FacilityLocationFunction f({{3.0, 0.0}, {1.0, 4.0}});
   EXPECT_DOUBLE_EQ(f.value(ItemSet(2)), 0.0);
